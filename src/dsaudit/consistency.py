@@ -6,11 +6,13 @@ the simplex constraints plus, per body and per subset, lower and upper bounds
 given by that body's belief and plausibility.  Exact LP over this polytope
 gives a tight probability interval per target subset, which is then compared
 with the [belief, plausibility] interval of the Dempster-combined body.
+Simplex phase one runs once per system, when it is built; every target's
+minimum and maximum start from that feasible basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -24,10 +26,23 @@ from .measures import belief, plausibility
 
 @dataclass(frozen=True)
 class ProbabilityConstraintSystem:
-    """Linear constraints on one unknown P(element) per frame element."""
+    """Linear constraints on one unknown P(element) per frame element.
+
+    `start` is the system's simplex phase one, computed on construction:
+    None when no distribution satisfies the constraints.
+    """
 
     frame: Frame
     constraints: tuple[lp.LinearConstraint, ...]
+    start: lp.FeasibleStart | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        start = lp.phase_one(self.constraints, self.frame.size)
+        object.__setattr__(self, "start", start)
+
+    @property
+    def feasible(self) -> bool:
+        return self.start is not None
 
 
 @dataclass(frozen=True)
@@ -142,12 +157,12 @@ def probability_bounds(
     """Exact min and max of P(target) over the feasible polytope."""
     if target.frame != system.frame:
         raise FrameMismatchError(f"target {target} is not on the system's frame")
+    if not system.feasible:
+        return ProbabilityInterval(target, None, None, False)
     objective = _indicator(system.frame, target)
     n = system.frame.size
-    low = lp.minimize(objective, system.constraints, n)
-    if low.status is lp.LPStatus.INFEASIBLE:
-        return ProbabilityInterval(target, None, None, False)
-    high = lp.maximize(objective, system.constraints, n)
+    low = lp.minimize(objective, system.constraints, n, start=system.start)
+    high = lp.maximize(objective, system.constraints, n, start=system.start)
     if low.status is not lp.LPStatus.OPTIMAL or high.status is not lp.LPStatus.OPTIMAL:
         raise AssertionError("bounded polytope cannot yield an unbounded LP")
     return ProbabilityInterval(target, low.value, high.value, True)

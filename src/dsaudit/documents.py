@@ -23,7 +23,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .evidence import BodyOfEvidence, EvidenceError, make_body
+from .evidence import (
+    MAX_MASS_EXPONENT,
+    BodyOfEvidence,
+    EvidenceError,
+    exponent_out_of_range,
+    make_body,
+)
 from .frames import Frame, FrameError, make_frame, subset
 
 
@@ -49,6 +55,10 @@ def parse_mass(value: object, where: str = "mass") -> Fraction:
             f'(e.g. "1/4" or "0.25")'
         )
     if isinstance(value, str):
+        if exponent_out_of_range(value):
+            raise DocumentError(
+                f"{where}: the exponent of {value!r} is beyond {MAX_MASS_EXPONENT}"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -8,6 +8,7 @@ exactly 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -20,6 +21,22 @@ MassLike = Union[Fraction, int, str]
 
 class EvidenceError(ValueError):
     """A mass assignment violates the body-of-evidence axioms."""
+
+
+# Fraction("1e-1000000") spends seconds computing 10 ** 1000000.  Python's
+# int() already refuses strings of more than 4300 digits, so exponents are
+# held to the same size.
+MAX_MASS_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def exponent_out_of_range(text: str) -> bool:
+    """True if a mass string's decimal exponent exceeds MAX_MASS_EXPONENT."""
+    match = _EXPONENT.search(text)
+    if match is None:
+        return False
+    digits = match.group(1).replace("_", "").lstrip("0")
+    return len(digits) > 4 or int(digits or "0") > MAX_MASS_EXPONENT
 
 
 def as_mass(value: MassLike) -> Fraction:
@@ -38,6 +55,10 @@ def as_mass(value: MassLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if exponent_out_of_range(value):
+            raise EvidenceError(
+                f"cannot parse mass {value!r}: exponent beyond {MAX_MASS_EXPONENT}"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -6,8 +6,13 @@ out cycling, so the solver terminates on every input.  Degenerate and
 redundant constraints are tolerated; redundant rows left over from phase one
 are dropped.
 
-Intended for the small, dense systems produced by probability-bounds
-checking; no sparsity or revised-simplex machinery.
+Phase one depends only on the constraints, so it is a value of its own:
+`phase_one` returns a `FeasibleStart` (or None when the system is
+infeasible), and `minimize`/`maximize` run phase two from it.  Callers that
+optimise several objectives over one system compute the start once and pass
+it to every solve.  Pivots and reduced-cost updates touch only the nonzero
+entries of the pivot row, since slack and artificial columns are mostly
+zeros; there is no revised-simplex machinery.
 """
 
 from __future__ import annotations
@@ -58,14 +63,36 @@ class LPSolution:
 _FLIP = {Sense.LE: Sense.GE, Sense.GE: Sense.LE, Sense.EQ: Sense.EQ}
 
 
-def _pivot(rows: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
+@dataclass(frozen=True)
+class FeasibleStart:
+    """A feasible basis of one constraint system, as phase one leaves it.
+
+    One tableau row per non-redundant constraint, over the variables and the
+    slacks (`num_cols` columns) followed by the right-hand side; `basis[i]`
+    is the column basic in row i.  No artificial column is left.
+    """
+
+    num_vars: int
+    num_cols: int
+    rows: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[int, ...]
+
+
+def _pivot(
+    rows: list[list[Fraction]], basis: list[int], r: int, c: int
+) -> list[tuple[int, Fraction]]:
+    """Pivot in place on rows[r][c]; returns the new pivot row's nonzeros."""
     piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
+    if piv != 1:
+        rows[r] = [v / piv if v else v for v in rows[r]]
+    nonzero = [(j, v) for j, v in enumerate(rows[r]) if v]
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            factor = row[c]
-            rows[i] = [v - factor * p for v, p in zip(row, rows[r])]
+        factor = row[c]
+        if i != r and factor:
+            for j, v in nonzero:
+                row[j] -= factor * v
     basis[r] = c
+    return nonzero
 
 
 def _reduced_costs(
@@ -73,27 +100,22 @@ def _reduced_costs(
 ) -> list[Fraction]:
     """Row of reduced costs c_j - c_B . B^-1 A_j for the current basis."""
     reduced = list(cost) + [Fraction(0)]
-    for i, b in enumerate(basis):
+    for row, b in zip(rows, basis):
         cb = cost[b]
-        if cb != 0:
-            reduced = [r - cb * v for r, v in zip(reduced, rows[i])]
+        if cb:
+            for j, v in enumerate(row):
+                if v:
+                    reduced[j] -= cb * v
     return reduced
 
 
 def _run_simplex(
-    rows: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    allowed: Sequence[int],
+    rows: list[list[Fraction]], basis: list[int], cost: list[Fraction]
 ) -> LPStatus:
     """Minimize cost over the tableau in place. Bland's rule throughout."""
     reduced = _reduced_costs(rows, basis, cost)
     while True:
-        entering = None
-        for j in allowed:
-            if reduced[j] < 0:
-                entering = j
-                break
+        entering = next((j for j in range(len(cost)) if reduced[j] < 0), None)
         if entering is None:
             return LPStatus.OPTIMAL
         leaving = None
@@ -110,22 +132,19 @@ def _run_simplex(
                     leaving = i
         if leaving is None:
             return LPStatus.UNBOUNDED
-        _pivot(rows, basis, leaving, entering)
         factor = reduced[entering]
-        if factor != 0:
-            reduced = [r - factor * v for r, v in zip(reduced, rows[leaving])]
+        for j, v in _pivot(rows, basis, leaving, entering):
+            reduced[j] -= factor * v
 
 
-def minimize(
-    objective: Sequence[Fraction],
-    constraints: Sequence[LinearConstraint],
-    num_vars: int,
-) -> LPSolution:
-    """Minimize objective . x subject to the constraints and x >= 0."""
-    obj = [Fraction(c) for c in objective]
-    if len(obj) != num_vars:
-        raise ValueError("objective length does not match num_vars")
+def phase_one(
+    constraints: Sequence[LinearConstraint], num_vars: int
+) -> FeasibleStart | None:
+    """A feasible basis for the constraints and x >= 0, or None if none exists.
 
+    It depends on the constraints only, so one start serves every objective
+    minimized or maximized over the same system.
+    """
     normalized: list[tuple[list[Fraction], Sense, Fraction]] = []
     for con in constraints:
         if len(con.coeffs) != num_vars:
@@ -141,8 +160,8 @@ def minimize(
 
     n_slack = sum(1 for _, s, _ in normalized if s is not Sense.EQ)
     n_art = sum(1 for _, s, _ in normalized if s is not Sense.LE)
-    n_cols = num_vars + n_slack + n_art
     art_start = num_vars + n_slack
+    n_cols = art_start + n_art
 
     rows: list[list[Fraction]] = []
     basis: list[int] = []
@@ -168,23 +187,17 @@ def minimize(
             art_col += 1
         rows.append(row)
 
-    structural = list(range(art_start))
-
     if n_art:
-        cost1 = [Fraction(0)] * n_cols
-        for j in range(art_start, n_cols):
-            cost1[j] = Fraction(1)
-        status = _run_simplex(rows, basis, cost1, range(n_cols))
-        if status is not LPStatus.OPTIMAL:
+        cost1 = [Fraction(0)] * art_start + [Fraction(1)] * n_art
+        if _run_simplex(rows, basis, cost1) is not LPStatus.OPTIMAL:
             raise AssertionError("phase one cannot be unbounded")
-        residual = sum(cost1[basis[i]] * rows[i][-1] for i in range(len(rows)))
-        if residual != 0:
-            return LPSolution(LPStatus.INFEASIBLE, None, None)
+        if any(rows[i][-1] for i, b in enumerate(basis) if b >= art_start):
+            return None
         # Drive leftover artificials out of the basis; drop redundant rows.
         for i in reversed(range(len(rows))):
             if basis[i] >= art_start:
                 pivot_col = next(
-                    (j for j in structural if rows[i][j] != 0), None
+                    (j for j in range(art_start) if rows[i][j] != 0), None
                 )
                 if pivot_col is None:
                     del rows[i]
@@ -192,10 +205,39 @@ def minimize(
                 else:
                     _pivot(rows, basis, i, pivot_col)
 
-    cost2 = [Fraction(0)] * n_cols
-    cost2[:num_vars] = obj
-    status = _run_simplex(rows, basis, cost2, structural)
-    if status is LPStatus.UNBOUNDED:
+    return FeasibleStart(
+        num_vars,
+        art_start,
+        tuple((*row[:art_start], row[-1]) for row in rows),
+        tuple(basis),
+    )
+
+
+def minimize(
+    objective: Sequence[Fraction],
+    constraints: Sequence[LinearConstraint],
+    num_vars: int,
+    start: FeasibleStart | None = None,
+) -> LPSolution:
+    """Minimize objective . x subject to the constraints and x >= 0.
+
+    `start`, when given, must be `phase_one(constraints, num_vars)`: passing
+    it skips phase one, which is the same for every objective.
+    """
+    obj = [Fraction(c) for c in objective]
+    if len(obj) != num_vars:
+        raise ValueError("objective length does not match num_vars")
+    if start is None:
+        start = phase_one(constraints, num_vars)
+        if start is None:
+            return LPSolution(LPStatus.INFEASIBLE, None, None)
+    elif start.num_vars != num_vars:
+        raise ValueError("start was built for a different num_vars")
+
+    rows = [list(row) for row in start.rows]
+    basis = list(start.basis)
+    cost = obj + [Fraction(0)] * (start.num_cols - num_vars)
+    if _run_simplex(rows, basis, cost) is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, None, None)
 
     point = [Fraction(0)] * num_vars
@@ -210,9 +252,10 @@ def maximize(
     objective: Sequence[Fraction],
     constraints: Sequence[LinearConstraint],
     num_vars: int,
+    start: FeasibleStart | None = None,
 ) -> LPSolution:
     """Maximize objective . x subject to the constraints and x >= 0."""
-    sol = minimize([-Fraction(c) for c in objective], constraints, num_vars)
+    sol = minimize([-Fraction(c) for c in objective], constraints, num_vars, start)
     if sol.status is not LPStatus.OPTIMAL:
         return sol
     assert sol.value is not None

@@ -85,6 +85,13 @@ def test_combine_bad_sum_exits_2(runner, tmp_path):
     assert "9/10" in result.output
 
 
+def test_combine_huge_mass_exponent_exits_2(runner, tmp_path):
+    path = write(tmp_path, "e.json", BAD_SUM_DOC.replace('"2/5"', '"1e-1000000"'))
+    result = runner.invoke(main, ["combine", "-i", path, "A"])
+    assert result.exit_code == 2
+    assert "exponent" in result.output
+
+
 def test_combine_unknown_body_exits_2(runner, tmp_path):
     path = write(tmp_path, "p.json", PARTITION_DOC)
     result = runner.invoke(main, ["combine", "-i", path, "A", "Z"])

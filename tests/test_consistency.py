@@ -1,5 +1,6 @@
 """Probability bounds from evidence and the combination audit."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from dsaudit import (
     probability_bounds,
     subset,
     vacuous,
+    zadeh_fixture,
 )
+from dsaudit import lp
 from strategies import bodies, frames
 
 F = Fraction
@@ -195,8 +198,6 @@ def test_lower_and_upper_bounds_are_complementary(body):
 def test_bounds_are_attained_by_feasible_distributions(quasi_bodies_pair, abc):
     # The reported optima must be witnessed by points satisfying every
     # constraint exactly, with the objective equal to the reported bound.
-    from dsaudit import lp
-
     system = build_constraints(list(quasi_bodies_pair))
     for s in enumerate_subsets(abc):
         objective = tuple(
@@ -231,3 +232,32 @@ def test_crossing_partitions_with_zero_conflict_stay_underdetermined():
         assert f.ds_lower == f.ds_upper == F(1, 4)
         assert (f.prob.lower, f.prob.upper) == (F(0), F(1, 2))
         assert f.verdict is Verdict.COMPATIBLE
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts of lp.phase_one and lp.minimize calls (maximize goes through
+    minimize)."""
+    counts = Counter()
+    for name in ("phase_one", "minimize"):
+        original = getattr(lp, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lp, name, counted)
+    return counts
+
+
+def test_infeasible_audit_runs_phase_one_once_and_no_solve(lp_calls):
+    report = zadeh_fixture()
+    assert not report.feasible
+    assert lp_calls == {"phase_one": 1}
+
+
+def test_feasible_audit_runs_phase_one_once(partition_bodies_pair, lp_calls):
+    report = audit(list(partition_bodies_pair))
+    assert report.feasible
+    assert lp_calls["phase_one"] == 1
+    assert lp_calls["minimize"] == 2 * len(report.findings)

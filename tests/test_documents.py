@@ -32,6 +32,14 @@ def test_decimal_strings_convert_exactly():
     assert parse_mass(2) == 2
 
 
+def test_mass_exponent_is_bounded():
+    assert parse_mass("1E4300") == 10**4300
+    with pytest.raises(DocumentError, match="exponent"):
+        parse_mass("1e-1000000")
+    with pytest.raises(DocumentError, match="exponent"):
+        parse_document(GOOD.replace('"0.5"', '"5e-4301"'))
+
+
 def test_json_floats_rejected():
     text = GOOD.replace('"0.5"', "0.5")
     with pytest.raises(DocumentError, match="quote the value"):

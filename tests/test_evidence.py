@@ -15,6 +15,7 @@ from dsaudit import (
     subset,
     vacuous,
 )
+from dsaudit.evidence import as_mass
 from strategies import bodies
 
 
@@ -125,3 +126,11 @@ def test_bodies_always_satisfy_axioms(body):
     assert all(s.bits != 0 for s, _ in body.focal)
     tags = {classify(body).tag}
     assert tags <= {StructureTag.PARTITION, StructureTag.QUASI_PARTITION, StructureTag.GENERAL}
+
+
+def test_mass_exponent_is_bounded():
+    assert as_mass("1e-4300") == Fraction(1, 10**4300)
+    assert as_mass(" 25E-2 ") == Fraction(1, 4)
+    for text in ("1e-1000000", "1E+4301", "0.5e43_01", "1e-00000099999 "):
+        with pytest.raises(EvidenceError, match="exponent"):
+            as_mass(text)

@@ -2,7 +2,16 @@
 
 from fractions import Fraction
 
-from dsaudit.lp import LinearConstraint, LPStatus, Sense, maximize, minimize
+import pytest
+
+from dsaudit.lp import (
+    LinearConstraint,
+    LPStatus,
+    Sense,
+    maximize,
+    minimize,
+    phase_one,
+)
 from lp_oracle import bounds_by_vertex_enumeration
 
 F = Fraction
@@ -40,6 +49,19 @@ def test_equality_constraint_forces_point():
 def test_infeasible_system():
     cons = [c([1, 1], Sense.EQ, 1), c([1, 0], Sense.GE, 2)]
     assert minimize([F(1), F(0)], cons, 2).status is LPStatus.INFEASIBLE
+    assert phase_one(cons, 2) is None
+
+
+def test_start_must_match_num_vars():
+    cons = [c([1, 1], Sense.EQ, 1)]
+    with pytest.raises(ValueError):
+        minimize([F(1)], [c([1], Sense.EQ, 1)], 1, phase_one(cons, 2))
+
+
+def _warm_equals_cold(solver, obj, cons, n, start):
+    warm = solver(obj, cons, n, start)
+    assert warm == solver(obj, cons, n)
+    return warm
 
 
 def test_unbounded_problem():
@@ -64,6 +86,15 @@ def test_redundant_and_duplicate_constraints_tolerated():
     ]
     sol = maximize([F(1), F(0)], cons, 2)
     assert sol.value == 1
+    start = phase_one(cons, 2)
+    # the duplicate equality is redundant and dropped from the start
+    assert len(start.rows) < len(cons)
+    for solver, obj, want in (
+        (maximize, [F(1), F(0)], 1),
+        (minimize, [F(1), F(0)], 0),
+        (maximize, [F(0), F(1)], 1),
+    ):
+        assert _warm_equals_cold(solver, obj, cons, 2, start).value == want
 
 
 def test_degenerate_vertex():
@@ -76,6 +107,13 @@ def test_degenerate_vertex():
     sol = maximize([F(1), F(1)], cons, 2)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.value == 1
+    start = phase_one(cons, 2)
+    for solver, obj, want in (
+        (maximize, [F(1), F(1)], 1),
+        (maximize, [F(2), F(1)], 2),
+        (minimize, [F(-1), F(0)], -1),
+    ):
+        assert _warm_equals_cold(solver, obj, cons, 2, start).value == want
 
 
 def test_exact_fractions_survive():
@@ -115,10 +153,11 @@ def test_agrees_with_vertex_oracle_on_fixed_cases():
             c([1 if j == i else 0 for j in range(n)], Sense.GE, 0) for i in range(n)
         ]
         full = cons + nonneg
+        start = phase_one(full, n)
         for i in range(n):
             obj = tuple(F(1) if j == i else F(0) for j in range(n))
             oracle = bounds_by_vertex_enumeration(full, n, obj)
             assert oracle is not None
-            lo = minimize(obj, full, n)
-            hi = maximize(obj, full, n)
+            lo = _warm_equals_cold(minimize, obj, full, n, start)
+            hi = _warm_equals_cold(maximize, obj, full, n, start)
             assert (lo.value, hi.value) == oracle
