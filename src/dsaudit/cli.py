@@ -15,7 +15,7 @@ from .combine import TotalConflictError, combine_many
 from .consistency import ConsistencyReport, audit as run_audit
 from .documents import DocumentError, EvidenceDocument, load_document, parse_mass
 from .evidence import BodyOfEvidence
-from .frames import FocalSet, Frame, FrameError, enumerate_subsets, subset
+from .frames import FocalSet, Frame, FrameError, subset
 from .measures import MeasureKind, belief, mass_from_belief, measure_table, plausibility
 from .repro import run_reproduction
 from .sweeps import DEFAULT_XBAR_SLICES, Family, sweep as run_sweep, sweep_to_csv
@@ -138,7 +138,9 @@ def cmd_measures(
     doc = _load(path)
     body = _pick_bodies(doc, (body_name,), path)[0]
     if show_all:
-        targets = list(enumerate_subsets(doc.frame))
+        bel = measure_table(body, MeasureKind.BELIEF).values
+        pl = measure_table(body, MeasureKind.PLAUSIBILITY).values
+        rows = [[str(s), str(value), str(pl[s])] for s, value in bel.items()]
     else:
         if not subsets:
             _fail(EXIT_INPUT_ERROR, "pass subsets as arguments or use --all")
@@ -147,9 +149,9 @@ def cmd_measures(
         except FrameError as exc:
             _fail(EXIT_INPUT_ERROR, str(exc))
             raise AssertionError("unreachable")
-    rows = [
-        [str(s), str(belief(body, s)), str(plausibility(body, s))] for s in targets
-    ]
+        rows = [
+            [str(s), str(belief(body, s)), str(plausibility(body, s))] for s in targets
+        ]
     _emit(rows, ["subset", "belief", "plausibility"], fmt, "measures")
     if invert:
         recovered = mass_from_belief(measure_table(body, MeasureKind.BELIEF))

@@ -160,12 +160,3 @@ def enumerate_subsets(frame: Frame) -> Iterator[FocalSet]:
     for bits in range(1 << frame.size):
         yield FocalSet(frame, bits)
 
-
-def submasks(s: FocalSet) -> Iterator[FocalSet]:
-    """All subsets of ``s`` (including the empty set and ``s`` itself)."""
-    sub = s.bits
-    while True:
-        yield FocalSet(s.frame, sub)
-        if sub == 0:
-            return
-        sub = (sub - 1) & s.bits

@@ -1,13 +1,17 @@
 """Belief, plausibility, duality, and exact mass recovery."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsaudit import (
+    FocalSet,
     InversionError,
     MeasureKind,
+    MeasureTable,
     belief,
     enumerate_subsets,
     complement,
@@ -20,6 +24,23 @@ from dsaudit import (
     vacuous,
 )
 from strategies import bodies, partition_bodies
+
+
+def reference_masses(table):
+    """Mobius inversion by the alternating-sign sum over every submask of
+    every subset, O(3**n): the oracle for ``mass_from_belief``."""
+    masses = {}
+    for s in enumerate_subsets(table.frame):
+        total = Fraction(0)
+        sub = s.bits
+        while True:
+            sign = -1 if (s.bits ^ sub).bit_count() & 1 else 1
+            total += sign * table.values[FocalSet(table.frame, sub)]
+            if sub == 0:
+                break
+            sub = (sub - 1) & s.bits
+        masses[s] = total
+    return masses
 
 
 @pytest.fixture
@@ -119,6 +140,91 @@ def test_mass_recovery_reports_offending_subset(abc):
     with pytest.raises(InversionError) as exc_info:
         mass_from_belief(broken)
     assert exc_info.value.subset is not None
+
+
+def test_mass_recovery_names_lowest_negative_subset(abc):
+    body = make_body(abc, [(subset(abc, ["a"]), "1/2"), (subset(abc, ["b"]), "1/2")])
+    values = dict(measure_table(body, MeasureKind.BELIEF).values)
+    # Raising bel({a}) makes the masses of {a,b} (bits 3) and {a,c} (bits 5)
+    # both -1/4; the lower bitmask is the one reported.
+    values[subset(abc, ["a"])] = Fraction(3, 4)
+    broken = MeasureTable(abc, MeasureKind.BELIEF, values)
+    assert [s for s, m in reference_masses(broken).items() if m < 0] == [
+        subset(abc, ["a", "b"]),
+        subset(abc, ["a", "c"]),
+    ]
+    with pytest.raises(InversionError) as exc_info:
+        mass_from_belief(broken)
+    assert str(exc_info.value) == (
+        "recovered mass of {a,b} is negative (-1/4); not a belief function"
+    )
+    assert exc_info.value.subset == subset(abc, ["a", "b"])
+
+
+@pytest.mark.parametrize("labels, value", [(["a"], 0.5), (["a", "b", "c"], 1.0)])
+def test_mass_recovery_rejects_float_values(abc, labels, value):
+    body = make_body(abc, [(subset(abc, ["a"]), "1/2"), (subset(abc, ["b"]), "1/2")])
+    values = dict(measure_table(body, MeasureKind.BELIEF).values)
+    values[subset(abc, labels)] = value
+    with pytest.raises(InversionError) as exc_info:
+        mass_from_belief(MeasureTable(abc, MeasureKind.BELIEF, values))
+    assert exc_info.value.subset == subset(abc, labels)
+
+
+def test_twelve_element_body_round_trips_exactly():
+    rng = random.Random(12)
+    frame = make_frame([f"e{i}" for i in range(12)])
+    masks = rng.sample(range(1, 1 << 12), 40)
+    # Unrelated denominators, so the common denominator is large.
+    masses = [Fraction(rng.randint(1, 50), rng.randint(2000, 4000)) for _ in masks[1:]]
+    masses.append(1 - sum(masses))
+    body = make_body(frame, [(FocalSet(frame, b), m) for b, m in zip(masks, masses)])
+    bel = measure_table(body, MeasureKind.BELIEF)
+    pl = measure_table(body, MeasureKind.PLAUSIBILITY)
+    assert mass_from_belief(bel) == body
+    for bits in rng.sample(range(1 << 12), 200):
+        s = FocalSet(frame, bits)
+        assert pl.values[s] == 1 - bel.values[complement(s)]
+        assert bel.values[s] == belief(body, s)
+        assert pl.values[s] == plausibility(body, s)
+
+
+@settings(max_examples=200)
+@given(bodies())
+def test_measure_table_matches_point_queries(body):
+    for kind, point in [
+        (MeasureKind.BELIEF, belief),
+        (MeasureKind.PLAUSIBILITY, plausibility),
+    ]:
+        table = measure_table(body, kind)
+        assert list(table.values) == list(enumerate_subsets(body.frame))
+        for s in enumerate_subsets(body.frame):
+            assert table.values[s] == point(body, s)
+
+
+@settings(max_examples=200)
+@given(bodies(), st.data())
+def test_mass_from_belief_matches_submask_reference(body, data):
+    values = dict(measure_table(body, MeasureKind.BELIEF).values)
+    inner = [s for s in values if 0 < s.bits < (1 << body.frame.size) - 1]
+    if inner and data.draw(st.booleans()):
+        # Perturb one value: the table may stop being a belief function.
+        s = data.draw(st.sampled_from(inner))
+        values[s] += data.draw(st.fractions(-1, 1, max_denominator=8))
+    table = MeasureTable(body.frame, MeasureKind.BELIEF, values)
+    reference = reference_masses(table)
+    negative = [(s, m) for s, m in reference.items() if m < 0]
+    if negative:
+        s, m = negative[0]
+        with pytest.raises(InversionError) as exc_info:
+            mass_from_belief(table)
+        assert str(exc_info.value) == (
+            f"recovered mass of {s} is negative ({m}); not a belief function"
+        )
+        assert exc_info.value.subset == s
+    else:
+        recovered = mass_from_belief(table)
+        assert recovered.focal == tuple((s, m) for s, m in reference.items() if m > 0)
 
 
 @settings(max_examples=200)
