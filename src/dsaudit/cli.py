@@ -2,7 +2,9 @@
 
 Subcommands: combine, measures, audit, sweep, paper-repro.  All numeric
 output is exact fraction strings.  Exit codes: 0 ok/consistent, 2 input
-error, 3 total conflict, 4 inconsistency detected, 5 infeasible constraints.
+error, 3 total conflict, 4 inconsistency detected (an audit violation, a
+`measures --invert` round trip that does not recover the masses, or a
+`paper-repro` mismatch), 5 infeasible constraints.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ EXIT_INPUT_ERROR = 2
 EXIT_TOTAL_CONFLICT = 3
 EXIT_INCONSISTENT = 4
 EXIT_INFEASIBLE = 5
+
+# `measures --all` and `--invert` tabulate all 2^n subsets of the frame.
+MAX_TABLE_ELEMENTS = 16
 
 _FORMATS = click.Choice(["table", "csv", "json"])
 
@@ -127,8 +132,18 @@ def cmd_combine(path: str, fmt: str, body_names: tuple[str, ...]) -> None:
 @main.command("measures")
 @click.option("--input", "-i", "path", required=True, help="Evidence JSON file.")
 @click.option("--format", "fmt", type=_FORMATS, default="table", show_default=True)
-@click.option("--all", "show_all", is_flag=True, help="Every subset of the frame.")
-@click.option("--invert", is_flag=True, help="Recover masses from belief and verify.")
+@click.option(
+    "--all",
+    "show_all",
+    is_flag=True,
+    help=f"Every subset of the frame (at most {MAX_TABLE_ELEMENTS} elements).",
+)
+@click.option(
+    "--invert",
+    is_flag=True,
+    help="Recover masses from belief and verify "
+    f"(at most {MAX_TABLE_ELEMENTS} elements).",
+)
 @click.argument("body_name")
 @click.argument("subsets", nargs=-1)
 def cmd_measures(
@@ -137,6 +152,12 @@ def cmd_measures(
     """Belief and plausibility of subsets (comma-joined labels, '-' for empty)."""
     doc = _load(path)
     body = _pick_bodies(doc, (body_name,), path)[0]
+    if (show_all or invert) and doc.frame.size > MAX_TABLE_ELEMENTS:
+        _fail(
+            EXIT_INPUT_ERROR,
+            f"--all and --invert tabulate every subset of the frame; it has "
+            f"{doc.frame.size} elements, and the limit is {MAX_TABLE_ELEMENTS}",
+        )
     if show_all:
         bel = measure_table(body, MeasureKind.BELIEF).values
         pl = measure_table(body, MeasureKind.PLAUSIBILITY).values
@@ -158,7 +179,7 @@ def cmd_measures(
         if recovered == body:
             click.echo("mass recovery from belief: OK (round-trip exact)")
         else:
-            _fail(1, f"mass recovery mismatch: {recovered}")
+            _fail(EXIT_INCONSISTENT, f"mass recovery mismatch: {recovered}")
 
 
 def _render_audit(report: ConsistencyReport, fmt: str) -> None:
@@ -248,7 +269,7 @@ def cmd_paper_repro() -> None:
             click.echo(f"MISMATCH {c.label}: expected {c.expected}, got {c.actual}")
     click.echo(f"{len(checks) - failures}/{len(checks)} checks passed")
     if failures:
-        sys.exit(1)
+        sys.exit(EXIT_INCONSISTENT)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from dsaudit import cli
 from dsaudit.cli import main
+from dsaudit.documents import load_document
+from dsaudit.repro import CheckResult
 
 PARTITION_DOC = """
 {
@@ -121,6 +124,37 @@ def test_measures_all_and_invert(runner, tmp_path):
     assert "round-trip exact" in result.output
 
 
+def test_measures_invert_mismatch_exits_4(runner, tmp_path, monkeypatch):
+    path = write(tmp_path, "p.json", PARTITION_DOC)
+    other = load_document(path).bodies["B"]
+    monkeypatch.setattr(cli, "mass_from_belief", lambda table: other)
+    result = runner.invoke(main, ["measures", "-i", path, "A", "a", "--invert"])
+    assert result.exit_code == 4
+    assert "mass recovery mismatch" in result.output
+
+
+def _wide_doc(size):
+    labels = [f"e{i}" for i in range(size)]
+    return json.dumps(
+        {"frame": labels, "bodies": {"A": [{"set": labels, "mass": "1"}]}}
+    )
+
+
+@pytest.mark.parametrize("flag", ["--all", "--invert"])
+def test_measures_table_over_element_limit_exits_2(runner, tmp_path, monkeypatch, flag):
+    path = write(tmp_path, "wide.json", _wide_doc(cli.MAX_TABLE_ELEMENTS + 1))
+
+    def no_table(*args):
+        raise AssertionError("measure_table ran above the element limit")
+
+    monkeypatch.setattr(cli, "measure_table", no_table)
+    result = runner.invoke(main, ["measures", "-i", path, "A", "e0", flag])
+    assert result.exit_code == 2
+    assert f"the limit is {cli.MAX_TABLE_ELEMENTS}" in result.output
+    help_text = runner.invoke(main, ["measures", "--help"]).output
+    assert f"at most {cli.MAX_TABLE_ELEMENTS} elements" in help_text
+
+
 def test_measures_whole_frame_row(runner, tmp_path):
     path = write(tmp_path, "p.json", PARTITION_DOC)
     result = runner.invoke(main, ["measures", "-i", path, "A", "a,b,c"])
@@ -214,6 +248,15 @@ def test_paper_repro_passes(runner):
     assert result.exit_code == 0
     assert "MISMATCH" not in result.output
     assert "checks passed" in result.output
+
+
+def test_paper_repro_mismatch_exits_4(runner, monkeypatch):
+    checks = [CheckResult("kept", "1/7", "1/7"), CheckResult("broken", "1/7", "1/8")]
+    monkeypatch.setattr(cli, "run_reproduction", lambda: checks)
+    result = runner.invoke(main, ["paper-repro"])
+    assert result.exit_code == 4
+    assert "MISMATCH broken: expected 1/7, got 1/8" in result.output
+    assert "1/2 checks passed" in result.output
 
 
 def test_missing_file_exits_2(runner):

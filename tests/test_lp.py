@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from dsaudit.lp import (
     LinearConstraint,
@@ -161,3 +163,61 @@ def test_agrees_with_vertex_oracle_on_fixed_cases():
             lo = _warm_equals_cold(minimize, obj, full, n, start)
             hi = _warm_equals_cold(maximize, obj, full, n, start)
             assert (lo.value, hi.value) == oracle
+
+
+# Denominators include the unrelated primes 97 and 101, so that integer rows
+# scaled by their lcm carry large, coprime entries.
+_DENOMINATORS = st.sampled_from((1, 2, 3, 7, 97, 101))
+_rationals = st.builds(Fraction, st.integers(-9, 9), _DENOMINATORS)
+_positive = st.builds(Fraction, st.integers(1, 9), _DENOMINATORS)
+
+
+def _unit(n, i):
+    return tuple(F(int(j == i)) for j in range(n))
+
+
+@st.composite
+def _systems(draw):
+    """(constraints, n): random rows of every sense, some duplicated, plus a
+    box 0 <= x_i <= u_i written either way round, so the polytope is bounded
+    and the vertex oracle applies.  Some rows pass through one point x0 of
+    the box, which makes degenerate vertices; rows with a random rhs make
+    many systems infeasible."""
+    n = draw(st.integers(1, 3))
+    x0 = [draw(st.just(F(0)) | _positive) for _ in range(n)]
+    cons = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(st.tuples(*[_rationals] * n))
+        through_x0 = sum(a * x for a, x in zip(coeffs, x0))
+        rhs = draw(st.just(through_x0) | _rationals)
+        cons.append(LinearConstraint(coeffs, draw(st.sampled_from(Sense)), rhs))
+    cons += draw(st.lists(st.sampled_from(cons), max_size=2))
+    for i in range(n):
+        u = x0[i] + draw(_positive)
+        if draw(st.booleans()):
+            cons.append(LinearConstraint(_unit(n, i), Sense.LE, u))
+        else:
+            cons.append(LinearConstraint(tuple(-v for v in _unit(n, i)), Sense.GE, -u))
+    return draw(st.permutations(cons)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems(), st.data())
+def test_simplex_matches_vertex_oracle_on_random_systems(system, data):
+    cons, n = system
+    obj = data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    full = cons + [LinearConstraint(_unit(n, i), Sense.GE, F(0)) for i in range(n)]
+    oracle = bounds_by_vertex_enumeration(full, n, tuple(obj))
+    start = phase_one(cons, n)
+    lo = _warm_equals_cold(minimize, obj, cons, n, start)
+    hi = _warm_equals_cold(maximize, obj, cons, n, start)
+    event("infeasible" if oracle is None else "feasible")
+    if oracle is None:
+        assert start is None
+        assert lo.status is hi.status is LPStatus.INFEASIBLE
+        return
+    assert start is not None
+    assert (lo.value, hi.value) == oracle
+    for sol in (lo, hi):
+        assert all(con.satisfied_by(sol.point) for con in full)
+        assert sum(o * x for o, x in zip(obj, sol.point)) == sol.value
