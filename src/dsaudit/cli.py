@@ -15,8 +15,8 @@ import click
 
 from .combine import TotalConflictError, combine_many
 from .consistency import ConsistencyReport, audit as run_audit
-from .documents import DocumentError, EvidenceDocument, load_document, parse_mass
-from .evidence import BodyOfEvidence
+from .documents import DocumentError, EvidenceDocument, load_document
+from .evidence import BodyOfEvidence, EvidenceError, as_mass
 from .frames import FocalSet, Frame, FrameError, subset
 from .measures import MeasureKind, belief, mass_from_belief, measure_table, plausibility
 from .repro import run_reproduction
@@ -238,11 +238,9 @@ def cmd_sweep(
     """Audit a parametric family over an exact grid and write CSV."""
     fam = Family.PARTITION_XY if family == "partition-xy" else Family.QUASI_X_XBAR_Y
     try:
-        slices = tuple(
-            parse_mass(tok.strip(), "--xbar-slices") for tok in xbar_slices.split(",")
-        )
-    except DocumentError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+        slices = tuple(as_mass(tok) for tok in xbar_slices.split(","))
+    except EvidenceError as exc:
+        _fail(EXIT_INPUT_ERROR, f"--xbar-slices: {exc}")
         raise AssertionError("unreachable")
     try:
         result = run_sweep(fam, grid_density, xbar_slices=slices, full_3d=full_3d)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .evidence import BodyOfEvidence, make_body
-from .frames import FocalSet, FrameMismatchError
+from .frames import FocalSet, require_same_frame
 
 
 class TotalConflictError(ArithmeticError):
@@ -43,14 +43,9 @@ class CombinationResult:
     steps: tuple["CombinationResult", ...] = field(default=(), compare=False)
 
 
-def _require_same_frame(a: BodyOfEvidence, b: BodyOfEvidence) -> None:
-    if a.frame != b.frame:
-        raise FrameMismatchError("bodies are defined on different frames")
-
-
 def conflict(a: BodyOfEvidence, b: BodyOfEvidence) -> Fraction:
     """The conflict coefficient: total product mass on empty intersections."""
-    _require_same_frame(a, b)
+    require_same_frame(a.frame, b.frame)
     kappa = Fraction(0)
     for s, ms in a.focal:
         for t, mt in b.focal:
@@ -66,7 +61,7 @@ def combine(a: BodyOfEvidence, b: BodyOfEvidence) -> CombinationResult:
     coincide as sets are pooled into a single element.  Raises
     TotalConflictError when kappa = 1.
     """
-    _require_same_frame(a, b)
+    require_same_frame(a.frame, b.frame)
     frame = a.frame
     kappa = Fraction(0)
     buckets: dict[int, Fraction] = {}

@@ -2,8 +2,10 @@
 
 Treating each input mass assignment as partial information about a single
 probability distribution over the frame yields a linear constraint system:
-the simplex constraints plus, per body and per subset, lower and upper bounds
-given by that body's belief and plausibility.  Exact LP over this polytope
+the simplex constraints plus, per body and per subset, the lower bound given
+by that body's belief.  No plausibility row is needed: with total mass 1,
+P(S) <= pl(S) = 1 - bel(not S) is the belief row of the complement (Dempster
+1967).  Exact LP over this polytope
 gives a tight probability interval per target subset, which is then compared
 with the [belief, plausibility] interval of the Dempster-combined body.
 Simplex phase one runs once per system, when it is built; every target's
@@ -20,7 +22,7 @@ from typing import Sequence
 from . import lp
 from .combine import CombinationResult, combine_many
 from .evidence import BodyOfEvidence, StructureTag, classify
-from .frames import FocalSet, Frame, FrameMismatchError, enumerate_subsets
+from .frames import FocalSet, Frame, enumerate_subsets, require_same_frame
 from .measures import belief, plausibility
 
 
@@ -103,17 +105,16 @@ def build_constraints(
     """Constraint system over P(element) variables for the given bodies.
 
     Always contains the simplex constraints (non-negativity, total mass 1).
-    Per body and per proper subset, emits belief(S) <= P(S) and
-    P(S) <= plausibility(S), skipping the bounds that are implied by the
-    simplex constraints alone (belief 0, plausibility 1); a vacuous body
-    therefore contributes nothing.
+    Per body and per proper subset with positive belief, emits
+    belief(S) <= P(S).  The upper bound P(S) <= plausibility(S) is the
+    belief row of the complement under total mass 1, so it is not emitted
+    again; a vacuous body contributes nothing.
     """
     if not bodies:
         raise ValueError("need at least one body")
     frame = bodies[0].frame
     for b in bodies[1:]:
-        if b.frame != frame:
-            raise FrameMismatchError("bodies are defined on different frames")
+        require_same_frame(frame, b.frame)
     if names is None:
         names = [f"body{i}" for i in range(len(bodies))]
 
@@ -137,16 +138,12 @@ def build_constraints(
         for s in enumerate_subsets(frame):
             if s.bits == 0 or s.bits == full:
                 continue
-            coeffs = _indicator(frame, s)
             lo = belief(body, s)
-            hi = plausibility(body, s)
             if lo > 0:
                 constraints.append(
-                    lp.LinearConstraint(coeffs, lp.Sense.GE, lo, f"{name}:bel:{s}")
-                )
-            if hi < 1:
-                constraints.append(
-                    lp.LinearConstraint(coeffs, lp.Sense.LE, hi, f"{name}:pl:{s}")
+                    lp.LinearConstraint(
+                        _indicator(frame, s), lp.Sense.GE, lo, f"{name}:bel:{s}"
+                    )
                 )
     return ProbabilityConstraintSystem(frame, tuple(constraints))
 
@@ -155,8 +152,7 @@ def probability_bounds(
     system: ProbabilityConstraintSystem, target: FocalSet
 ) -> ProbabilityInterval:
     """Exact min and max of P(target) over the feasible polytope."""
-    if target.frame != system.frame:
-        raise FrameMismatchError(f"target {target} is not on the system's frame")
+    require_same_frame(system.frame, target.frame)
     if not system.feasible:
         return ProbabilityInterval(target, None, None, False)
     objective = _indicator(system.frame, target)

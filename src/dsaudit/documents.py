@@ -10,10 +10,10 @@ Schema::
       }
     }
 
-Masses are fraction strings ("1/4"), integer strings, decimal strings that
-convert exactly ("0.25"), or JSON integers.  JSON floats are rejected: the
-binary value the JSON parser hands over is usually not the decimal the file
-shows.  Serialization is canonical (sets ordered by frame position, masses in
+Masses go through `evidence.as_mass`: fraction strings ("1/4"), integer
+strings, decimal strings that convert exactly ("0.25"), or JSON integers.
+JSON floats are rejected: the binary value the JSON parser hands over is
+usually not the decimal the file shows.  Serialization is canonical (sets ordered by frame position, masses in
 lowest terms), so parse -> dump is idempotent.
 """
 
@@ -21,15 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .evidence import (
-    MAX_MASS_EXPONENT,
-    BodyOfEvidence,
-    EvidenceError,
-    exponent_out_of_range,
-    make_body,
-)
+from .evidence import BodyOfEvidence, EvidenceError, as_mass, make_body
 from .frames import Frame, FrameError, make_frame, subset
 
 
@@ -41,31 +34,6 @@ class DocumentError(ValueError):
 class EvidenceDocument:
     frame: Frame
     bodies: dict[str, BodyOfEvidence]
-
-
-def parse_mass(value: object, where: str = "mass") -> Fraction:
-    """Parse a mass value from JSON, exactly or not at all."""
-    if isinstance(value, bool):
-        raise DocumentError(f"{where}: expected a number string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise DocumentError(
-            f"{where}: JSON floats are not accepted; quote the value as a string "
-            f'(e.g. "1/4" or "0.25")'
-        )
-    if isinstance(value, str):
-        if exponent_out_of_range(value):
-            raise DocumentError(
-                f"{where}: the exponent of {value!r} is beyond {MAX_MASS_EXPONENT}"
-            )
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(
-                f"{where}: cannot parse {value!r} as an exact rational"
-            ) from None
-    raise DocumentError(f"{where}: expected a string or integer, got {type(value).__name__}")
 
 
 def parse_document(text: str, source: str = "<input>") -> EvidenceDocument:
@@ -112,7 +80,11 @@ def parse_document(text: str, source: str = "<input>") -> EvidenceDocument:
                 focal = subset(frame, members)
             except FrameError as exc:
                 raise DocumentError(f"{entry_where}: {exc}") from None
-            assignments.append((focal, parse_mass(entry["mass"], entry_where)))
+            try:
+                mass = as_mass(entry["mass"])
+            except EvidenceError as exc:
+                raise DocumentError(f"{entry_where}: {exc}") from None
+            assignments.append((focal, mass))
         try:
             bodies[name] = make_body(frame, assignments)
         except (EvidenceError, FrameError) as exc:

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .frames import FocalSet, Frame, FrameMismatchError
+from .frames import FocalSet, Frame, require_same_frame
 
 MassLike = Union[Fraction, int, str]
 
@@ -23,24 +23,49 @@ class EvidenceError(ValueError):
     """A mass assignment violates the body-of-evidence axioms."""
 
 
-# Fraction("1e-1000000") spends seconds computing 10 ** 1000000.  Python's
-# int() already refuses strings of more than 4300 digits, so exponents are
-# held to the same size.
+# A mass string is refused before any parsing when it is longer than
+# MAX_MASS_LENGTH characters, or when its decimal exponent exceeds
+# MAX_MASS_EXPONENT: Fraction("1e-1000000") spends seconds computing
+# 10 ** 1000000.  Python's int() already refuses more than 4300 digits, so a
+# fraction of two such numbers, even with an underscore between every pair of
+# digits, plus sign, slash or point and exponent, takes under 17_300
+# characters.  Error messages quote at most _SHOWN characters of the value.
 MAX_MASS_EXPONENT = 4300
+MAX_MASS_LENGTH = 20_000
+_SHOWN = 40
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
-def exponent_out_of_range(text: str) -> bool:
-    """True if a mass string's decimal exponent exceeds MAX_MASS_EXPONENT."""
+def _shown(value: object) -> str:
+    text = repr(value[: _SHOWN + 1] if isinstance(value, str) else value)
+    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
+
+
+def _parse_mass_string(text: str) -> Fraction:
+    if len(text) > MAX_MASS_LENGTH:
+        raise EvidenceError(
+            f"cannot parse mass {_shown(text)}: {len(text)} characters, "
+            f"more than {MAX_MASS_LENGTH}"
+        )
     match = _EXPONENT.search(text)
-    if match is None:
-        return False
-    digits = match.group(1).replace("_", "").lstrip("0")
-    return len(digits) > 4 or int(digits or "0") > MAX_MASS_EXPONENT
+    if match is not None:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or "0") > MAX_MASS_EXPONENT:
+            raise EvidenceError(
+                f"cannot parse mass {_shown(text)}: exponent beyond {MAX_MASS_EXPONENT}"
+            )
+    # Fraction's own messages may repeat the whole input, so they are not kept.
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except ValueError:
+        reason = "not a fraction, integer or decimal with at most 4300 digits per number"
+    raise EvidenceError(f"cannot parse mass {_shown(text)}: {reason}")
 
 
-def as_mass(value: MassLike) -> Fraction:
-    """Coerce a mass to an exact Fraction.
+def as_mass(value: object) -> Fraction:
+    """Coerce a mass to an exact Fraction; the package's only mass parser.
 
     Accepts Fractions, ints, and strings ("1/4", "0.25", "3").  Floats are
     rejected: a binary float silently misrepresents most decimal inputs, and
@@ -48,24 +73,17 @@ def as_mass(value: MassLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or isinstance(value, float):
-        raise EvidenceError(
-            f"mass must be a Fraction, int, or string, not {type(value).__name__}: {value!r}"
-        )
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        if exponent_out_of_range(value):
-            raise EvidenceError(
-                f"cannot parse mass {value!r}: exponent beyond {MAX_MASS_EXPONENT}"
-            )
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise EvidenceError(f"cannot parse mass {value!r}: {exc}") from None
-    raise EvidenceError(
-        f"mass must be a Fraction, int, or string, not {type(value).__name__}: {value!r}"
+        return _parse_mass_string(value)
+    message = (
+        f"mass must be a Fraction, int, or string, not {type(value).__name__}: "
+        f"{_shown(value)}"
     )
+    if isinstance(value, float):
+        message += '; quote the value as a string (e.g. "1/4" or "0.25")'
+    raise EvidenceError(message)
 
 
 @dataclass(frozen=True)
@@ -121,10 +139,7 @@ def make_body(
     kept: list[tuple[FocalSet, Fraction]] = []
     total = Fraction(0)
     for s, raw in assignments:
-        if s.frame != frame:
-            raise FrameMismatchError(
-                f"focal set {s} belongs to a different frame than the body"
-            )
+        require_same_frame(frame, s.frame)
         m = as_mass(raw)
         if m < 0:
             raise EvidenceError(f"negative mass {m} on {s}")

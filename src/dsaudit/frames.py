@@ -120,21 +120,21 @@ def subset(frame: Frame, members: Sequence[str]) -> FocalSet:
     return FocalSet(frame, bits)
 
 
-def _require_same_frame(s: FocalSet, t: FocalSet) -> None:
-    if s.frame != t.frame:
+def require_same_frame(first: Frame, second: Frame) -> None:
+    """Raise FrameMismatchError, naming both label lists, if the frames differ."""
+    if first != second:
         raise FrameMismatchError(
-            f"subsets belong to different frames: {list(s.frame.elements)} vs "
-            f"{list(t.frame.elements)}"
+            f"different frames: {list(first.elements)} vs {list(second.elements)}"
         )
 
 
 def intersect(s: FocalSet, t: FocalSet) -> FocalSet:
-    _require_same_frame(s, t)
+    require_same_frame(s.frame, t.frame)
     return FocalSet(s.frame, s.bits & t.bits)
 
 
 def union(s: FocalSet, t: FocalSet) -> FocalSet:
-    _require_same_frame(s, t)
+    require_same_frame(s.frame, t.frame)
     return FocalSet(s.frame, s.bits | t.bits)
 
 
@@ -143,7 +143,7 @@ def complement(s: FocalSet) -> FocalSet:
 
 
 def is_subset(s: FocalSet, t: FocalSet) -> bool:
-    _require_same_frame(s, t)
+    require_same_frame(s.frame, t.frame)
     return s.bits & ~t.bits == 0
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .evidence import BodyOfEvidence, EvidenceError, make_body
-from .frames import FocalSet, Frame, FrameMismatchError, enumerate_subsets
+from .frames import FocalSet, Frame, enumerate_subsets, require_same_frame
 
 
 class MeasureKind(Enum):
@@ -49,14 +49,9 @@ class InversionError(ValueError):
         self.subset = subset
 
 
-def _check_frame(body: BodyOfEvidence, s: FocalSet) -> None:
-    if s.frame != body.frame:
-        raise FrameMismatchError(f"subset {s} is not on the body's frame")
-
-
 def belief(body: BodyOfEvidence, s: FocalSet) -> Fraction:
     """Total mass of focal sets contained in ``s``."""
-    _check_frame(body, s)
+    require_same_frame(body.frame, s.frame)
     total = Fraction(0)
     for t, m in body.focal:
         if t.bits & ~s.bits == 0:
@@ -66,7 +61,7 @@ def belief(body: BodyOfEvidence, s: FocalSet) -> Fraction:
 
 def plausibility(body: BodyOfEvidence, s: FocalSet) -> Fraction:
     """Total mass of focal sets having non-empty intersection with ``s``."""
-    _check_frame(body, s)
+    require_same_frame(body.frame, s.frame)
     total = Fraction(0)
     for t, m in body.focal:
         if t.bits & s.bits:

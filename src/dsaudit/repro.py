@@ -10,14 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combine import TotalConflictError, combine
+from .combine import TotalConflictError
 from .consistency import Verdict, audit
-from .evidence import make_body
-from .frames import make_frame, subset
+from .frames import subset
 from .measures import belief, plausibility
 from .sweeps import (
     Family,
     closed_form_masses,
+    family_frame,
+    instantiate,
     partition_spec,
     quasi_balance_equation_holds,
     quasi_spec,
@@ -44,7 +45,7 @@ def _check(label: str, expected: object, actual: object) -> CheckResult:
 def run_reproduction() -> list[CheckResult]:
     """Run every built-in fixture; returns one result per check."""
     checks: list[CheckResult] = []
-    frame = make_frame(["a", "b", "c"])
+    frame = family_frame()
     sa = subset(frame, ["a"])
     sb = subset(frame, ["b"])
     sc = subset(frame, ["c"])
@@ -53,11 +54,8 @@ def run_reproduction() -> list[CheckResult]:
     # Partition case: masses {1/4, 3/4} on ({a},{b,c}) vs {1/2, 1/2} on
     # ({a,b},{c}).  Combined masses 1/7, 3/7, 3/7 with kappa 1/8; the derived
     # probabilities are the incompatible points 1/4, 1/4, 1/2.
-    body_a, body_b = (
-        make_body(frame, [(sa, Fraction(1, 4)), (subset(frame, ["b", "c"]), Fraction(3, 4))]),
-        make_body(frame, [(sab, Fraction(1, 2)), (sc, Fraction(1, 2))]),
-    )
-    report = audit([body_a, body_b])
+    spec = partition_spec(Fraction(1, 4), Fraction(1, 2))
+    report = audit(list(instantiate(spec)))
     combined = report.combined
     checks.append(_check("partition-case kappa", Fraction(1, 8), report.kappa))
     for s, want in [(sa, Fraction(1, 7)), (sb, Fraction(3, 7)), (sc, Fraction(3, 7))]:
@@ -88,30 +86,19 @@ def run_reproduction() -> list[CheckResult]:
         )
 
     # Same case via the parametric family's closed forms.
-    spec = partition_spec(Fraction(1, 4), Fraction(1, 2))
     forms = closed_form_masses(spec)
     checks.append(
         _check(
             "partition-family closed forms at (1/4, 1/2)",
-            {str(s): str(m) for s, m in combine(body_a, body_b).combined.focal},
+            {str(s): str(m) for s, m in combined.focal},
             {str(s): str(m) for s, m in sorted(forms.items(), key=lambda kv: kv[0].bits)},
         )
     )
 
     # Quasi-partition case at x=1/4, xbar=1/2, y=1/2: the DS interval for {b}
     # and the probability interval for {b} do not even overlap.
-    q_a, q_b = (
-        make_body(
-            frame,
-            [
-                (sa, Fraction(1, 4)),
-                (subset(frame, ["b", "c"]), Fraction(1, 2)),
-                (frame.universe(), Fraction(1, 4)),
-            ],
-        ),
-        make_body(frame, [(sab, Fraction(1, 2)), (sc, Fraction(1, 2))]),
-    )
-    q_report = audit([q_a, q_b])
+    q_spec = quasi_spec(Fraction(1, 4), Fraction(1, 2), Fraction(1, 2))
+    q_report = audit(list(instantiate(q_spec)))
     q_combined = q_report.combined
     for s, want in [
         (sa, Fraction(1, 7)),
@@ -150,7 +137,7 @@ def run_reproduction() -> list[CheckResult]:
             b_finding.prob.upper < belief(q_combined, sb),
         )
     )
-    q_forms = closed_form_masses(quasi_spec(Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)))
+    q_forms = closed_form_masses(q_spec)
     checks.append(
         _check(
             "quasi-family closed forms at (1/4, 1/2, 1/2)",

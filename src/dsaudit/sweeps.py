@@ -36,7 +36,6 @@ from .frames import FocalSet, make_frame, subset
 class Family(Enum):
     PARTITION_XY = "PartitionXY"
     QUASI_X_XBAR_Y = "QuasiXXbarY"
-    CUSTOM = "Custom"
 
 
 DEFAULT_XBAR_SLICES: tuple[Fraction, ...] = (
@@ -54,13 +53,12 @@ def family_frame():
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A point in one of the parametric families (or a custom body pair)."""
+    """A point in one of the parametric families."""
 
     family: Family
     x: Fraction | None = None
     xbar: Fraction | None = None
     y: Fraction | None = None
-    bodies: tuple[BodyOfEvidence, BodyOfEvidence] | None = None
 
     def __post_init__(self) -> None:
         if self.family is Family.PARTITION_XY:
@@ -68,16 +66,13 @@ class FamilySpec:
                 raise ValueError("partition-xy takes parameters x and y only")
             if not (0 <= self.x <= 1 and 0 <= self.y <= 1):
                 raise ValueError(f"x={self.x}, y={self.y} outside [0, 1]")
-        elif self.family is Family.QUASI_X_XBAR_Y:
+        else:
             if self.x is None or self.xbar is None or self.y is None:
                 raise ValueError("quasi-x-xbar-y takes parameters x, xbar, and y")
             if self.x < 0 or self.xbar < 0 or self.x + self.xbar > 1:
                 raise ValueError(f"need x, xbar >= 0 and x + xbar <= 1, got {self.x}, {self.xbar}")
             if not 0 <= self.y <= 1:
                 raise ValueError(f"y={self.y} outside [0, 1]")
-        else:
-            if self.bodies is None or len(self.bodies) != 2:
-                raise ValueError("custom spec requires exactly two bodies")
 
 
 def partition_spec(x: Fraction, y: Fraction) -> FamilySpec:
@@ -92,9 +87,6 @@ def quasi_spec(x: Fraction, xbar: Fraction, y: Fraction) -> FamilySpec:
 
 def instantiate(spec: FamilySpec) -> tuple[BodyOfEvidence, BodyOfEvidence]:
     """The two bodies at the spec's parameter point; zero masses drop out."""
-    if spec.family is Family.CUSTOM:
-        assert spec.bodies is not None
-        return spec.bodies
     frame = family_frame()
     a = subset(frame, ["a"])
     bc = subset(frame, ["b", "c"])
@@ -118,8 +110,6 @@ def closed_form_masses(spec: FamilySpec) -> dict[FocalSet, Fraction]:
 
     Raises TotalConflictError where the family degenerates (x=1, y=0).
     """
-    if spec.family is Family.CUSTOM:
-        raise ValueError("no closed forms for custom body pairs")
     assert spec.x is not None and spec.y is not None
     x, y = spec.x, spec.y
     denom = 1 - x * (1 - y)
@@ -246,8 +236,6 @@ def sweep(
     """
     if grid_density < 2:
         raise ValueError("grid density must be at least 2")
-    if family is Family.CUSTOM:
-        raise ValueError("sweep requires a parametric family")
     steps = _grid(grid_density)
     points: list[SweepPoint] = []
     if family is Family.PARTITION_XY:
@@ -319,7 +307,7 @@ def zadeh_fixture() -> ConsistencyReport:
     kappa = 9999/10000); the probability constraint system derived from the
     same two bodies is infeasible.  Both facts are asserted here.
     """
-    frame = make_frame(["a", "b", "c"])
+    frame = family_frame()
     first = make_body(
         frame,
         [(subset(frame, ["a"]), Fraction(99, 100)), (subset(frame, ["c"]), Fraction(1, 100))],

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, formats, exit codes, deterministic output."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +10,8 @@ from dsaudit import cli
 from dsaudit.cli import main
 from dsaudit.documents import load_document
 from dsaudit.repro import CheckResult
+
+DATA = Path(__file__).parent / "data"
 
 PARTITION_DOC = """
 {
@@ -93,6 +96,14 @@ def test_combine_huge_mass_exponent_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["combine", "-i", path, "A"])
     assert result.exit_code == 2
     assert "exponent" in result.output
+
+
+def test_combine_over_long_mass_exits_2_with_short_stderr(runner, tmp_path):
+    path = write(tmp_path, "l.json", BAD_SUM_DOC.replace('"2/5"', '"' + "1" * 10_000_000 + '"'))
+    result = runner.invoke(main, ["combine", "-i", path, "A"])
+    assert result.exit_code == 2
+    assert "more than 20000" in result.stderr
+    assert len(result.stderr) < 300
 
 
 def test_combine_unknown_body_exits_2(runner, tmp_path):
@@ -241,6 +252,22 @@ def test_sweep_quasi_with_slices(runner, tmp_path):
     assert result.exit_code == 0
     text = out.read_text()
     assert "QuasiXXbarY" in text
+
+
+def test_sweep_bad_xbar_slice_exits_2(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["sweep", "quasi-x-xbar-y", "--grid", "2", "--xbar-slices", "1/4,0.5.5",
+         "-o", str(tmp_path / "q.csv")],
+    )
+    assert result.exit_code == 2
+    assert "--xbar-slices: cannot parse mass '0.5.5'" in result.stderr
+
+
+def test_paper_repro_output_is_pinned(runner):
+    result = runner.invoke(main, ["paper-repro"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / "paper_repro.txt").read_bytes()
 
 
 def test_paper_repro_passes(runner):

@@ -5,22 +5,26 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsaudit import (
     TotalConflictError,
     Verdict,
     audit,
+    belief,
     build_constraints,
     complement,
     enumerate_subsets,
     make_body,
     make_frame,
+    plausibility,
     probability_bounds,
     subset,
     vacuous,
     zadeh_fixture,
 )
 from dsaudit import lp
+from lp_oracle import bounds_by_vertex_enumeration
 from strategies import bodies, frames
 
 F = Fraction
@@ -261,3 +265,60 @@ def test_feasible_audit_runs_phase_one_once(partition_bodies_pair, lp_calls):
     assert report.feasible
     assert lp_calls["phase_one"] == 1
     assert lp_calls["minimize"] == 2 * len(report.findings)
+
+
+def _two_sided_system(bodies_):
+    """Simplex rows plus belief(S) <= P(S) <= plausibility(S) for every body
+    and proper subset, skipping only bounds of 0 and 1."""
+    frame = bodies_[0].frame
+    n = frame.size
+    full = (1 << n) - 1
+
+    def row(bits):
+        return tuple(F(bits >> i & 1) for i in range(n))
+
+    rows = [lp.LinearConstraint(row(1 << i), lp.Sense.GE, F(0)) for i in range(n)]
+    rows.append(lp.LinearConstraint(row(full), lp.Sense.EQ, F(1)))
+    for body in bodies_:
+        for s in enumerate_subsets(frame):
+            if 0 < s.bits < full:
+                lo, hi = belief(body, s), plausibility(body, s)
+                if lo > 0:
+                    rows.append(lp.LinearConstraint(row(s.bits), lp.Sense.GE, lo))
+                if hi < 1:
+                    rows.append(lp.LinearConstraint(row(s.bits), lp.Sense.LE, hi))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frames(min_size=2, max_size=4).flatmap(
+        lambda f: st.lists(bodies(frame=f, max_focal=3), min_size=1, max_size=3)
+    )
+)
+def test_belief_rows_bound_like_the_two_sided_system(bodies_):
+    system = build_constraints(bodies_)
+    assert all(
+        c.sense is not lp.Sense.LE and ":pl:" not in c.tag for c in system.constraints
+    )
+    two_sided = _two_sided_system(bodies_)
+    n = system.frame.size
+    for s in enumerate_subsets(system.frame):
+        objective = tuple(F(s.bits >> i & 1) for i in range(n))
+        interval = probability_bounds(system, s)
+        low = lp.minimize(objective, two_sided, n)
+        high = lp.maximize(objective, two_sided, n)
+        if low.status is lp.LPStatus.INFEASIBLE:
+            assert high.status is lp.LPStatus.INFEASIBLE
+            assert not interval.feasible
+        else:
+            assert interval.feasible
+            assert (interval.lower, interval.upper) == (low.value, high.value)
+        # The vertex oracle is exhaustive, so, as in criterion 7, it checks
+        # the singleton targets of 3-element frames only.
+        if n == 3 and s.bits.bit_count() == 1:
+            oracle = bounds_by_vertex_enumeration(two_sided, n, objective)
+            if oracle is None:
+                assert not interval.feasible
+            else:
+                assert (interval.lower, interval.upper) == oracle

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from dsaudit import DocumentError, dump_document, parse_document
-from dsaudit.documents import parse_mass
 
 GOOD = """
 {
@@ -27,17 +26,28 @@ def test_parse_good_document():
 
 
 def test_decimal_strings_convert_exactly():
-    assert parse_mass("0.25") == Fraction(1, 4)
-    assert parse_mass("0.1") == Fraction(1, 10)
-    assert parse_mass(2) == 2
+    doc = parse_document(GOOD.replace('"1/4"', '"0.1"').replace('"3/4"', '"0.9"'))
+    assert [m for _, m in doc.bodies["A"].focal] == [Fraction(1, 10), Fraction(9, 10)]
+    assert [m for _, m in doc.bodies["B"].focal] == [Fraction(1, 2), Fraction(1, 2)]
+    whole = parse_document('{"frame": ["a"], "bodies": {"A": [{"set": ["a"], "mass": 1}]}}')
+    assert whole.bodies["A"].focal[0][1] == 1
 
 
 def test_mass_exponent_is_bounded():
-    assert parse_mass("1E4300") == 10**4300
-    with pytest.raises(DocumentError, match="exponent"):
-        parse_mass("1e-1000000")
-    with pytest.raises(DocumentError, match="exponent"):
-        parse_document(GOOD.replace('"0.5"', '"5e-4301"'))
+    tiny = parse_document(
+        GOOD.replace('"1/4"', '"1E-4300"').replace('"3/4"', '"0.' + "9" * 4300 + '"')
+    )
+    assert tiny.bodies["A"].focal[0][1] == Fraction(1, 10**4300)
+    for mass in ("5e-4301", "1e-1000000"):
+        with pytest.raises(DocumentError, match="body 'B', entry 1: .*exponent"):
+            parse_document(GOOD.replace('"0.5"', f'"{mass}"'))
+
+
+def test_over_long_mass_string_rejected_with_a_short_message():
+    text = GOOD.replace('"0.5"', '"' + "1" * 10_000_000 + '"')
+    with pytest.raises(DocumentError, match="body 'B', entry 1: .*more than 20000") as info:
+        parse_document(text)
+    assert len(str(info.value)) < 200
 
 
 def test_json_floats_rejected():

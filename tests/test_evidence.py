@@ -15,7 +15,7 @@ from dsaudit import (
     subset,
     vacuous,
 )
-from dsaudit.evidence import as_mass
+from dsaudit.evidence import MAX_MASS_LENGTH, as_mass
 from strategies import bodies
 
 
@@ -134,3 +134,23 @@ def test_mass_exponent_is_bounded():
     for text in ("1e-1000000", "1E+4301", "0.5e43_01", "1e-00000099999 "):
         with pytest.raises(EvidenceError, match="exponent"):
             as_mass(text)
+
+
+def test_mass_string_length_is_bounded():
+    digits = "7" * 4300
+    assert as_mass(f"{digits}/3") == Fraction(int(digits), 3)
+    separated = "_".join(digits)
+    assert as_mass(f"-{separated}/{separated}") == -1
+    for text in ("1" * (MAX_MASS_LENGTH + 1), "1" * 10_000_000):
+        with pytest.raises(EvidenceError, match=f"more than {MAX_MASS_LENGTH}") as info:
+            as_mass(text)
+        assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "value", ["x" * 5000, "1" * 5000, "1/0", 0.5, True, [1] * 5000, None]
+)
+def test_mass_errors_quote_a_bounded_prefix(value):
+    with pytest.raises(EvidenceError) as info:
+        as_mass(value)
+    assert len(str(info.value)) < 250

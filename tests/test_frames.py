@@ -8,13 +8,20 @@ from dsaudit import (
     FocalSet,
     FrameError,
     FrameMismatchError,
+    belief,
+    build_constraints,
     cardinality,
+    combine,
     complement,
+    conflict,
     enumerate_subsets,
     intersect,
     is_empty,
     is_subset,
+    make_body,
     make_frame,
+    plausibility,
+    probability_bounds,
     subset,
     union,
 )
@@ -78,6 +85,37 @@ def test_cross_frame_mixing_rejected():
     f2 = make_frame(["b", "a"])
     with pytest.raises(FrameMismatchError):
         intersect(subset(f1, ["a"]), subset(f2, ["a"]))
+
+
+AB = make_frame(["a", "b"])
+BA = make_frame(["b", "a"])
+
+
+def _sure_of_a(frame):
+    return make_body(frame, [(subset(frame, ["a"]), 1)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: union(subset(AB, ["a"]), subset(BA, ["a"])),
+        lambda: is_subset(subset(AB, ["a"]), subset(BA, ["a"])),
+        lambda: make_body(AB, [(subset(BA, ["a"]), 1)]),
+        lambda: combine(_sure_of_a(AB), _sure_of_a(BA)),
+        lambda: conflict(_sure_of_a(AB), _sure_of_a(BA)),
+        lambda: belief(_sure_of_a(AB), subset(BA, ["a"])),
+        lambda: plausibility(_sure_of_a(AB), subset(BA, ["a"])),
+        lambda: build_constraints([_sure_of_a(AB), _sure_of_a(BA)]),
+        lambda: probability_bounds(build_constraints([_sure_of_a(AB)]), subset(BA, ["a"])),
+    ],
+    ids=[
+        "union", "is_subset", "make_body", "combine", "conflict", "belief",
+        "plausibility", "build_constraints", "probability_bounds",
+    ],
+)
+def test_every_entry_point_rejects_mixed_frames(call):
+    with pytest.raises(FrameMismatchError, match=r"\['a', 'b'\] vs \['b', 'a'\]"):
+        call()
 
 
 def test_complement_subset_cardinality():

@@ -209,8 +209,6 @@ def test_zero_conflict_points_never_verdict_disjoint():
 def test_sweep_rejects_bad_input():
     with pytest.raises(ValueError):
         sweep(Family.PARTITION_XY, 1)
-    with pytest.raises(ValueError):
-        sweep(Family.CUSTOM, 4)
 
 
 def test_sweep_csv_deterministic_and_well_formed():
