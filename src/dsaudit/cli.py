@@ -20,7 +20,7 @@ from .evidence import BodyOfEvidence, EvidenceError, as_mass
 from .frames import FocalSet, Frame, FrameError, subset
 from .measures import MeasureKind, belief, mass_from_belief, measure_table, plausibility
 from .repro import run_reproduction
-from .sweeps import DEFAULT_XBAR_SLICES, Family, sweep as run_sweep, sweep_to_csv
+from .sweeps import DEFAULT_XBAR_SLICES, MAX_SWEEP_POINTS, Family, sweep as run_sweep, sweep_to_csv
 
 EXIT_INPUT_ERROR = 2
 EXIT_TOTAL_CONFLICT = 3
@@ -222,7 +222,10 @@ def cmd_audit(path: str, fmt: str, body_names: tuple[str, ...]) -> None:
 
 
 @main.command("sweep")
-@click.option("--grid", "-n", "grid_density", type=int, default=12, show_default=True)
+@click.option(
+    "--grid", "-n", "grid_density", type=int, default=12, show_default=True,
+    help=f"Grid steps per parameter; at most {MAX_SWEEP_POINTS} grid points in all.",
+)
 @click.option(
     "--xbar-slices",
     default=",".join(str(f) for f in DEFAULT_XBAR_SLICES),

@@ -1,15 +1,20 @@
 """Probability intervals implied by evidence, and audits against them.
 
-Treating each input mass assignment as partial information about a single
-probability distribution over the frame yields a linear constraint system:
-the simplex constraints plus, per body and per subset, the lower bound given
-by that body's belief.  No plausibility row is needed: with total mass 1,
-P(S) <= pl(S) = 1 - bel(not S) is the belief row of the complement (Dempster
-1967).  Exact LP over this polytope
-gives a tight probability interval per target subset, which is then compared
-with the [belief, plausibility] interval of the Dempster-combined body.
-Simplex phase one runs once per system, when it is built; every target's
-minimum and maximum start from that feasible basis.
+Each input mass assignment is treated as partial information about a single
+probability distribution P over the frame.  A body allows P iff each focal
+set's mass can be split over its own elements so that the shares add up to
+P (Dempster 1967).  So the bounds on P(S) are exact LPs over allocations:
+one variable x[k,A,w] >= 0 per body k, focal set A of k with two or more
+elements, and element w of A, the mass A gives to w.  A singleton focal set
+can only give its mass to its element, so its share is a constant, not a
+variable.  One row per focal set says its shares sum to its mass; one row
+per body after the first and per element but the last says that body's
+marginal equals body 0's (the last element's row follows from the totals).
+P is body 0's marginal.  The LP grows with the total size of the focal
+sets, never with the power set.  Simplex phase one runs once per system,
+when it is built; every target's minimum and maximum start from that
+feasible basis.  The tight interval per target is then compared with the
+[belief, plausibility] interval of the Dempster-combined body.
 """
 
 from __future__ import annotations
@@ -17,34 +22,74 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import lp
 from .combine import CombinationResult, combine_many
 from .evidence import BodyOfEvidence, StructureTag, classify
-from .frames import FocalSet, Frame, enumerate_subsets, require_same_frame
-from .measures import belief, plausibility
+from .frames import FocalSet, Frame, require_same_frame
+from .measures import MeasureKind, belief, measure_table, plausibility
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class ProbabilityConstraintSystem:
-    """Linear constraints on one unknown P(element) per frame element.
+    """The distributions over the frame that every body allows.
 
-    `start` is the system's simplex phase one, computed on construction:
-    None when no distribution satisfies the constraints.
+    `allocation` holds the LP rows over the allocation variables, `owners`
+    the (body index, element index) of each variable, and `fixed` body 0's
+    singleton masses per element: P(w) is fixed[w] plus body 0's variables
+    owned by w.  `start` is the simplex phase one of `allocation`, computed
+    on construction: None when no distribution satisfies every body.
+
+    `constraints` states the same polytope over one P(element) per element:
+    non-negativity, total mass 1, and belief(S) <= P(S) per body and proper
+    subset of positive belief (P(S) <= plausibility(S) is the belief row of
+    the complement).  It is built from the bodies on first access, for
+    oracles and readers; no bound is solved over it.
     """
 
     frame: Frame
-    constraints: tuple[lp.LinearConstraint, ...]
+    bodies: tuple[BodyOfEvidence, ...]
+    names: tuple[str, ...]
+    allocation: tuple[lp.LinearConstraint, ...] = field(repr=False)
+    owners: tuple[tuple[int, int], ...] = field(repr=False)
+    fixed: tuple[Fraction, ...] = field(repr=False)
     start: lp.FeasibleStart | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        start = lp.phase_one(self.constraints, self.frame.size)
+        start = lp.phase_one(self.allocation, len(self.owners))
         object.__setattr__(self, "start", start)
 
     @property
     def feasible(self) -> bool:
         return self.start is not None
+
+    @cached_property
+    def constraints(self) -> tuple[lp.LinearConstraint, ...]:
+        n = self.frame.size
+
+        def indicator(bits: int) -> tuple[Fraction, ...]:
+            return tuple([_ONE if bits >> i & 1 else _ZERO for i in range(n)])
+
+        rows = [
+            lp.LinearConstraint(indicator(1 << i), lp.Sense.GE, _ZERO, f"nonneg:P({label})")
+            for i, label in enumerate(self.frame.elements)
+        ]
+        full = (1 << n) - 1
+        rows.append(lp.LinearConstraint(indicator(full), lp.Sense.EQ, _ONE, "total:1"))
+        for body, name in zip(self.bodies, self.names):
+            for s, lo in measure_table(body, MeasureKind.BELIEF).values.items():
+                if 0 < s.bits < full and lo > 0:
+                    rows.append(
+                        lp.LinearConstraint(
+                            indicator(s.bits), lp.Sense.GE, lo, f"{name}:bel:{s}"
+                        )
+                    )
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -93,22 +138,14 @@ class ConsistencyReport:
         return 0
 
 
-def _indicator(frame: Frame, s: FocalSet) -> tuple[Fraction, ...]:
-    return tuple(
-        Fraction(1) if s.bits >> i & 1 else Fraction(0) for i in range(frame.size)
-    )
-
-
 def build_constraints(
     bodies: Sequence[BodyOfEvidence], names: Sequence[str] | None = None
 ) -> ProbabilityConstraintSystem:
-    """Constraint system over P(element) variables for the given bodies.
+    """The allocation system of the given bodies, with its phase one run.
 
-    Always contains the simplex constraints (non-negativity, total mass 1).
-    Per body and per proper subset with positive belief, emits
-    belief(S) <= P(S).  The upper bound P(S) <= plausibility(S) is the
-    belief row of the complement under total mass 1, so it is not emitted
-    again; a vacuous body contributes nothing.
+    Rows, all equalities: each focal set of two or more elements splits its
+    mass over its elements; each body after the first has body 0's marginal
+    on every element but the last.  A vacuous body adds one split row.
     """
     if not bodies:
         raise ValueError("need at least one body")
@@ -117,35 +154,43 @@ def build_constraints(
         require_same_frame(frame, b.frame)
     if names is None:
         names = [f"body{i}" for i in range(len(bodies))]
+    if len(names) != len(bodies):
+        raise ValueError(f"{len(names)} names for {len(bodies)} bodies")
 
-    constraints: list[lp.LinearConstraint] = []
-    one = Fraction(1)
-    for i, label in enumerate(frame.elements):
-        coeffs = tuple(
-            one if j == i else Fraction(0) for j in range(frame.size)
-        )
-        constraints.append(
-            lp.LinearConstraint(coeffs, lp.Sense.GE, Fraction(0), f"nonneg:P({label})")
-        )
-    constraints.append(
-        lp.LinearConstraint(
-            tuple(one for _ in range(frame.size)), lp.Sense.EQ, one, "total:1"
-        )
+    n = frame.size
+    width = sum(
+        s.bits.bit_count() for b in bodies for s, _ in b.focal if s.bits & (s.bits - 1)
     )
-
-    full = (1 << frame.size) - 1
-    for body, name in zip(bodies, names):
-        for s in enumerate_subsets(frame):
-            if s.bits == 0 or s.bits == full:
+    fixed = [[_ZERO] * n for _ in bodies]
+    owners: list[tuple[int, int]] = []
+    rows: list[lp.LinearConstraint] = []
+    for k, (body, name) in enumerate(zip(bodies, names)):
+        for s, mass in body.focal:
+            members = [w for w in range(n) if s.bits >> w & 1]
+            if len(members) == 1:
+                fixed[k][members[0]] = mass
                 continue
-            lo = belief(body, s)
-            if lo > 0:
-                constraints.append(
-                    lp.LinearConstraint(
-                        _indicator(frame, s), lp.Sense.GE, lo, f"{name}:bel:{s}"
-                    )
+            coeffs = [_ZERO] * width
+            coeffs[len(owners) : len(owners) + len(members)] = [_ONE] * len(members)
+            rows.append(lp.LinearConstraint(tuple(coeffs), lp.Sense.EQ, mass, f"{name}:split:{s}"))
+            owners.extend([(k, w) for w in members])
+    for k in range(1, len(bodies)):
+        for w in range(n - 1):
+            coeffs = [
+                _ONE if owner == (k, w) else -_ONE if owner == (0, w) else _ZERO
+                for owner in owners
+            ]
+            rows.append(
+                lp.LinearConstraint(
+                    tuple(coeffs),
+                    lp.Sense.EQ,
+                    fixed[0][w] - fixed[k][w],
+                    f"{names[k]}:marginal:{frame.elements[w]}",
                 )
-    return ProbabilityConstraintSystem(frame, tuple(constraints))
+            )
+    return ProbabilityConstraintSystem(
+        frame, tuple(bodies), tuple(names), tuple(rows), tuple(owners), tuple(fixed[0])
+    )
 
 
 def probability_bounds(
@@ -155,13 +200,17 @@ def probability_bounds(
     require_same_frame(system.frame, target.frame)
     if not system.feasible:
         return ProbabilityInterval(target, None, None, False)
-    objective = _indicator(system.frame, target)
-    n = system.frame.size
-    low = lp.minimize(objective, system.constraints, n, start=system.start)
-    high = lp.maximize(objective, system.constraints, n, start=system.start)
+    bits = target.bits
+    objective = [
+        _ONE if k == 0 and bits >> w & 1 else _ZERO for k, w in system.owners
+    ]
+    base = sum([m for w, m in enumerate(system.fixed) if bits >> w & 1], _ZERO)
+    n = len(objective)
+    low = lp.minimize(objective, system.allocation, n, start=system.start)
+    high = lp.maximize(objective, system.allocation, n, start=system.start)
     if low.status is not lp.LPStatus.OPTIMAL or high.status is not lp.LPStatus.OPTIMAL:
         raise AssertionError("bounded polytope cannot yield an unbounded LP")
-    return ProbabilityInterval(target, low.value, high.value, True)
+    return ProbabilityInterval(target, base + low.value, base + high.value, True)
 
 
 def _verdict(

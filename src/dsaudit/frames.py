@@ -11,8 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-# Downstream consistency checking enumerates the power set, so frame size is
-# hard-capped to keep that tractable.
+# An audit's LP has one variable per element of each focal set with two or
+# more elements, so its size grows with the frame; the cap keeps that exact
+# simplex small.  Whole-subset tables (`measure_table`, `mass_from_belief`,
+# `enumerate_subsets`) still take 2**n steps; `dsaudit measures` bounds its
+# tables separately.
 FRAME_SIZE_CAP = 24
 
 
@@ -81,34 +84,19 @@ class FocalSet:
             label for i, label in enumerate(self.frame.elements) if self.bits >> i & 1
         )
 
-    def __contains__(self, label: str) -> bool:
-        return bool(self.bits >> self.frame.index(label) & 1)
-
-    def __and__(self, other: FocalSet) -> FocalSet:
-        return intersect(self, other)
-
-    def __or__(self, other: FocalSet) -> FocalSet:
-        return union(self, other)
-
-    def __invert__(self) -> FocalSet:
-        return complement(self)
-
-    def __le__(self, other: FocalSet) -> bool:
-        return is_subset(self, other)
-
     def __str__(self) -> str:
         return "{" + ",".join(self.labels()) + "}"
 
 
-def make_frame(labels: Sequence[str], max_size: int = FRAME_SIZE_CAP) -> Frame:
+def make_frame(labels: Sequence[str]) -> Frame:
     """Build a frame with the given element ordering.
 
-    Raises FrameError on duplicates, empty input, or more than ``max_size``
-    labels.
+    Raises FrameError on duplicates, empty input, or more than
+    ``FRAME_SIZE_CAP`` labels.
     """
     labels = tuple(labels)
-    if len(labels) > max_size:
-        raise FrameError(f"frame of size {len(labels)} exceeds cap of {max_size}")
+    if len(labels) > FRAME_SIZE_CAP:
+        raise FrameError(f"frame of size {len(labels)} exceeds cap of {FRAME_SIZE_CAP}")
     return Frame(labels)
 
 

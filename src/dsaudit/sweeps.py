@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -202,6 +203,28 @@ class SweepResult:
     consistent: tuple[SweepPoint, ...]
 
 
+# Every grid point is one audit, and `full_3d` makes the quasi family's point
+# count cubic in the grid density, so larger sweeps are refused up front.
+MAX_SWEEP_POINTS = 20_000
+
+
+def _grid_points(
+    family: Family, n: int, xbar_slices: Sequence[Fraction], full_3d: bool
+) -> int:
+    """How many points ``sweep`` audits, counted without building the grid."""
+    side = n + 1
+    if family is Family.PARTITION_XY:
+        return side * side
+    if full_3d:
+        # xbar = j/n and x = i/n with i + j <= n
+        return side * side * (side + 1) // 2
+    # x = i/n with i <= n * (1 - xbar), for i in 0..n
+    return side * sum(
+        min(side, max(0, math.floor(n * (1 - Fraction(xbar))) + 1))
+        for xbar in xbar_slices
+    )
+
+
 def _grid(n: int) -> list[Fraction]:
     return [Fraction(i, n) for i in range(n + 1)]
 
@@ -232,10 +255,17 @@ def sweep(
 
     The quasi family is swept per xbar slice (or over the full 3-D grid when
     ``full_3d``); points violating x + xbar <= 1 are skipped.  Points are
-    visited in canonical grid order, so output is deterministic.
+    visited in canonical grid order, so output is deterministic.  Raises
+    ValueError, before any audit, on a density below 2 or a sweep of more
+    than MAX_SWEEP_POINTS points.
     """
     if grid_density < 2:
         raise ValueError("grid density must be at least 2")
+    count = _grid_points(family, grid_density, xbar_slices, full_3d)
+    if count > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"the sweep has {count} grid points; the limit is {MAX_SWEEP_POINTS}"
+        )
     steps = _grid(grid_density)
     points: list[SweepPoint] = []
     if family is Family.PARTITION_XY:

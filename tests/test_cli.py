@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from dsaudit import cli
+from dsaudit import cli, sweeps
 from dsaudit.cli import main
 from dsaudit.documents import load_document
 from dsaudit.repro import CheckResult
@@ -262,6 +262,24 @@ def test_sweep_bad_xbar_slice_exits_2(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "--xbar-slices: cannot parse mass '0.5.5'" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["partition-xy", "--grid", "1000"], ["quasi-x-xbar-y", "--grid", "40", "--full-3d"]],
+)
+def test_sweep_over_point_limit_exits_2_before_any_audit(runner, tmp_path, monkeypatch, args):
+    def no_audit(*args, **kwargs):
+        raise AssertionError("an audit ran above the sweep point limit")
+
+    monkeypatch.setattr(sweeps, "audit", no_audit)
+    out = tmp_path / "s.csv"
+    result = runner.invoke(main, ["sweep", *args, "-o", str(out)])
+    assert result.exit_code == 2
+    assert f"the limit is {sweeps.MAX_SWEEP_POINTS}" in result.stderr
+    assert not out.exists()
+    help_text = runner.invoke(main, ["sweep", "--help"]).output
+    assert f"at most {sweeps.MAX_SWEEP_POINTS} grid points" in help_text
 
 
 def test_paper_repro_output_is_pinned(runner):

@@ -1,5 +1,7 @@
 """Probability bounds from evidence and the combination audit."""
 
+import json
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsaudit import (
+    ProbabilityConstraintSystem,
     TotalConflictError,
     Verdict,
     audit,
@@ -17,6 +20,7 @@ from dsaudit import (
     enumerate_subsets,
     make_body,
     make_frame,
+    parse_document,
     plausibility,
     probability_bounds,
     subset,
@@ -74,6 +78,8 @@ def test_vacuous_body_contributes_no_constraints(abc):
     system = build_constraints([vacuous(abc)])
     # simplex only: non-negativity per element plus the total
     assert len(system.constraints) == abc.size + 1
+    # one allocation row: the frame's mass splits over its elements
+    assert len(system.allocation) == 1
     interval = probability_bounds(system, subset(abc, ["b"]))
     assert (interval.lower, interval.upper) == (0, 1)
 
@@ -165,6 +171,11 @@ def test_audit_propagates_total_conflict():
 def test_audit_requires_two_bodies(abc):
     with pytest.raises(ValueError):
         audit([vacuous(abc)])
+
+
+def test_every_body_needs_a_name(abc):
+    with pytest.raises(ValueError, match="1 names for 2 bodies"):
+        build_constraints([vacuous(abc), vacuous(abc)], ["only"])
 
 
 def test_audit_infeasible_report(abc):
@@ -267,6 +278,65 @@ def test_feasible_audit_runs_phase_one_once(partition_bodies_pair, lp_calls):
     assert lp_calls["minimize"] == 2 * len(report.findings)
 
 
+@pytest.fixture
+def no_p_space_view(monkeypatch):
+    """Make any read of `ProbabilityConstraintSystem.constraints` fail."""
+
+    def refuse(self):
+        raise AssertionError("the P-space constraint rows were built")
+
+    monkeypatch.setattr(ProbabilityConstraintSystem, "constraints", property(refuse))
+
+
+def test_audit_never_builds_the_p_space_rows(no_p_space_view, partition_bodies_pair):
+    report = audit(list(partition_bodies_pair))
+    assert [(f.prob.lower, f.prob.upper) for f in report.findings] == [
+        (F(1, 4), F(1, 4)),
+        (F(1, 4), F(1, 4)),
+        (F(1, 2), F(1, 2)),
+    ]
+
+
+def test_twenty_element_audit_needs_no_power_set(no_p_space_view):
+    # A splits the frame into halves; B puts 1/4 on e0 and the rest on the
+    # frame.  So P(first half) = P(second half) = 1/2 and P(e0) is in
+    # [1/4, 1/2], while the combined body has {e0}: 1/7 and 3/7 per half.
+    labels = [f"e{i}" for i in range(20)]
+    doc = parse_document(
+        json.dumps(
+            {
+                "frame": labels,
+                "bodies": {
+                    "A": [
+                        {"set": labels[:10], "mass": "1/2"},
+                        {"set": labels[10:], "mass": "1/2"},
+                    ],
+                    "B": [{"set": ["e0"], "mass": "1/4"}, {"set": labels, "mass": "3/4"}],
+                },
+            }
+        )
+    )
+    began = time.perf_counter()
+    report = audit([doc.bodies["A"], doc.bodies["B"]], ["A", "B"])
+    assert time.perf_counter() - began < 5
+    assert report.kappa == F(1, 8)
+    by_subset = {str(f.subset): f for f in report.findings}
+    assert len(by_subset) == 22
+    first_half = "{" + ",".join(labels[:10]) + "}"
+    second_half = "{" + ",".join(labels[10:]) + "}"
+    expected = {
+        "{e0}": (F(1, 7), F(4, 7), F(1, 4), F(1, 2), Verdict.COMPATIBLE),
+        "{e1}": (F(0), F(3, 7), F(0), F(1, 4), Verdict.COMPATIBLE),
+        "{e19}": (F(0), F(3, 7), F(0), F(1, 2), Verdict.COMPATIBLE),
+        first_half: (F(4, 7), F(4, 7), F(1, 2), F(1, 2), Verdict.VIOLATION),
+        second_half: (F(3, 7), F(3, 7), F(1, 2), F(1, 2), Verdict.VIOLATION),
+    }
+    for name, want in expected.items():
+        f = by_subset[name]
+        assert (f.ds_lower, f.ds_upper, f.prob.lower, f.prob.upper, f.verdict) == want
+    assert report.worst_exit_code() == 4
+
+
 def _two_sided_system(bodies_):
     """Simplex rows plus belief(S) <= P(S) <= plausibility(S) for every body
     and proper subset, skipping only bounds of 0 and 1."""
@@ -292,7 +362,7 @@ def _two_sided_system(bodies_):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    frames(min_size=2, max_size=4).flatmap(
+    frames(min_size=2, max_size=5).flatmap(
         lambda f: st.lists(bodies(frame=f, max_focal=3), min_size=1, max_size=3)
     )
 )

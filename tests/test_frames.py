@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dsaudit import (
+    FRAME_SIZE_CAP,
     FocalSet,
     FrameError,
     FrameMismatchError,
@@ -50,9 +51,9 @@ def test_make_frame_rejects_empty():
 
 def test_make_frame_rejects_oversize():
     with pytest.raises(FrameError, match="cap"):
-        make_frame([f"x{i}" for i in range(25)])
-    # the cap is configurable
-    assert make_frame([f"x{i}" for i in range(25)], max_size=30).size == 25
+        make_frame([f"x{i}" for i in range(FRAME_SIZE_CAP + 1)])
+    # the cap itself is allowed
+    assert make_frame([f"x{i}" for i in range(FRAME_SIZE_CAP)]).size == FRAME_SIZE_CAP
 
 
 def test_subset_bits_and_order():

@@ -23,6 +23,7 @@ from dsaudit import (
     symbolic_check,
     zadeh_fixture,
 )
+from dsaudit import sweeps
 from dsaudit.evidence import StructureTag
 
 F = Fraction
@@ -209,6 +210,25 @@ def test_zero_conflict_points_never_verdict_disjoint():
 def test_sweep_rejects_bad_input():
     with pytest.raises(ValueError):
         sweep(Family.PARTITION_XY, 1)
+
+
+@pytest.mark.parametrize(
+    "family, grid, options",
+    [
+        (Family.PARTITION_XY, 3, {}),
+        (Family.QUASI_X_XBAR_Y, 4, {"xbar_slices": [F(0), F(1, 3), F(1, 2), F(1), F(3, 2)]}),
+        (Family.QUASI_X_XBAR_Y, 3, {"full_3d": True}),
+    ],
+)
+def test_sweep_point_limit_counts_the_points_exactly(monkeypatch, family, grid, options):
+    # The limit is checked on a count made before the sweep; at the sweep's
+    # own point count it passes and one below it refuses.
+    points = len(sweep(family, grid, **options).points)
+    monkeypatch.setattr(sweeps, "MAX_SWEEP_POINTS", points)
+    assert len(sweep(family, grid, **options).points) == points
+    monkeypatch.setattr(sweeps, "MAX_SWEEP_POINTS", points - 1)
+    with pytest.raises(ValueError, match=f"has {points} grid points"):
+        sweep(family, grid, **options)
 
 
 def test_sweep_csv_deterministic_and_well_formed():
