@@ -5,134 +5,57 @@ plausibility, derive exact probability intervals from the same evidence by
 linear programming over rationals, and audit the combination against those
 intervals.  Every number is a `fractions.Fraction`; there is no floating
 point anywhere in the pipeline.
+
+The names below are the ones the README's Library section documents; the
+record types they return live in the modules that build them.
 """
 
-from .combine import CombinationResult, TotalConflictError, combine, combine_many, conflict
-from .consistency import (
-    ConsistencyReport,
-    ElementFinding,
-    ProbabilityConstraintSystem,
-    ProbabilityInterval,
-    Verdict,
-    audit,
-    build_constraints,
-    probability_bounds,
-)
-from .documents import DocumentError, EvidenceDocument, dump_document, load_document, parse_document
-from .evidence import (
-    BodyOfEvidence,
-    EvidenceError,
-    StructureClass,
-    StructureTag,
-    classify,
-    make_body,
-    vacuous,
-)
-from .frames import (
-    FRAME_SIZE_CAP,
-    FocalSet,
-    Frame,
-    FrameError,
-    FrameMismatchError,
-    cardinality,
-    complement,
-    enumerate_subsets,
-    intersect,
-    is_empty,
-    is_subset,
-    make_frame,
-    subset,
-    union,
-)
+from .combine import TotalConflictError, combine, combine_many, conflict
+from .consistency import Verdict, audit, build_constraints, probability_bounds
+from .documents import MAX_BODIES, MAX_FOCAL_SETS, DocumentError, load_document, parse_document
+from .evidence import EvidenceError, make_body, vacuous
+from .frames import FRAME_SIZE_CAP, FrameError, FrameMismatchError, make_frame, subset
 from .measures import (
     InversionError,
     MeasureKind,
-    MeasureTable,
     belief,
     mass_from_belief,
     measure_table,
     plausibility,
 )
-from .sweeps import (
-    DEFAULT_XBAR_SLICES,
-    Family,
-    FamilySpec,
-    SweepPoint,
-    SweepResult,
-    SweepRow,
-    closed_form_masses,
-    instantiate,
-    partition_spec,
-    quasi_balance_equation_holds,
-    quasi_spec,
-    sweep,
-    sweep_to_csv,
-    symbolic_check,
-    zadeh_fixture,
-)
+from .sweeps import Family, sweep, sweep_to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BodyOfEvidence",
-    "CombinationResult",
-    "ConsistencyReport",
-    "DEFAULT_XBAR_SLICES",
     "DocumentError",
-    "ElementFinding",
-    "EvidenceDocument",
     "EvidenceError",
     "FRAME_SIZE_CAP",
     "Family",
-    "FamilySpec",
-    "FocalSet",
-    "Frame",
     "FrameError",
     "FrameMismatchError",
     "InversionError",
+    "MAX_BODIES",
+    "MAX_FOCAL_SETS",
     "MeasureKind",
-    "MeasureTable",
-    "ProbabilityConstraintSystem",
-    "ProbabilityInterval",
-    "StructureClass",
-    "StructureTag",
-    "SweepPoint",
-    "SweepResult",
-    "SweepRow",
     "TotalConflictError",
     "Verdict",
     "audit",
     "belief",
     "build_constraints",
-    "cardinality",
-    "classify",
-    "closed_form_masses",
     "combine",
     "combine_many",
-    "complement",
     "conflict",
-    "dump_document",
-    "enumerate_subsets",
-    "instantiate",
-    "intersect",
-    "is_empty",
-    "is_subset",
     "load_document",
     "make_body",
     "make_frame",
     "mass_from_belief",
     "measure_table",
     "parse_document",
-    "partition_spec",
     "plausibility",
     "probability_bounds",
-    "quasi_balance_equation_holds",
-    "quasi_spec",
     "subset",
     "sweep",
     "sweep_to_csv",
-    "symbolic_check",
-    "union",
     "vacuous",
-    "zadeh_fixture",
 ]

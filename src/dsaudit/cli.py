@@ -10,6 +10,7 @@ error, 3 total conflict, 4 inconsistency detected (an audit violation, a
 from __future__ import annotations
 
 import sys
+from typing import NoReturn
 
 import click
 
@@ -33,7 +34,7 @@ MAX_TABLE_ELEMENTS = 16
 _FORMATS = click.Choice(["table", "csv", "json"])
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -43,7 +44,6 @@ def _load(path: str) -> EvidenceDocument:
         return load_document(path)
     except DocumentError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
-        raise AssertionError("unreachable")
 
 
 def _pick_bodies(
@@ -120,7 +120,6 @@ def cmd_combine(path: str, fmt: str, body_names: tuple[str, ...]) -> None:
             EXIT_TOTAL_CONFLICT,
             f"{exc} (the bodies' supports share no outcome, so no decision set exists)",
         )
-        raise AssertionError("unreachable")
     kappa = str(result.kappa)
     rows = [[str(s), str(m), kappa] for s, m in result.combined.focal]
     _emit(rows, ["element", "mass", "kappa"], fmt, "combined")
@@ -169,7 +168,6 @@ def cmd_measures(
             targets = [_parse_subset(doc.frame, tok) for tok in subsets]
         except FrameError as exc:
             _fail(EXIT_INPUT_ERROR, str(exc))
-            raise AssertionError("unreachable")
         rows = [
             [str(s), str(belief(body, s)), str(plausibility(body, s))] for s in targets
         ]
@@ -214,7 +212,6 @@ def cmd_audit(path: str, fmt: str, body_names: tuple[str, ...]) -> None:
         report = run_audit(bodies, list(body_names))
     except TotalConflictError as exc:
         _fail(EXIT_TOTAL_CONFLICT, str(exc))
-        raise AssertionError("unreachable")
     _render_audit(report, fmt)
     code = report.worst_exit_code()
     if code:
@@ -244,12 +241,10 @@ def cmd_sweep(
         slices = tuple(as_mass(tok) for tok in xbar_slices.split(","))
     except EvidenceError as exc:
         _fail(EXIT_INPUT_ERROR, f"--xbar-slices: {exc}")
-        raise AssertionError("unreachable")
     try:
         result = run_sweep(fam, grid_density, xbar_slices=slices, full_3d=full_3d)
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
-        raise AssertionError("unreachable")
     text = sweep_to_csv(result)
     with open(output, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

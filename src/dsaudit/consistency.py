@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import lp
-from .combine import CombinationResult, combine_many
+from .combine import combine_many
 from .evidence import BodyOfEvidence, StructureTag, classify
 from .frames import FocalSet, Frame, require_same_frame
 from .measures import MeasureKind, belief, measure_table, plausibility
@@ -99,7 +99,10 @@ class ProbabilityInterval:
     subset: FocalSet
     lower: Fraction | None
     upper: Fraction | None
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.lower is not None
 
 
 class Verdict(Enum):
@@ -124,9 +127,11 @@ class ConsistencyReport:
     kappa: Fraction
     combined: BodyOfEvidence
     findings: tuple[ElementFinding, ...]
-    feasible: bool
-    combination: CombinationResult
     system: ProbabilityConstraintSystem
+
+    @property
+    def feasible(self) -> bool:
+        return self.system.feasible
 
     def worst_exit_code(self) -> int:
         """0 all consistent, 4 any violation, 5 infeasible system."""
@@ -199,7 +204,7 @@ def probability_bounds(
     """Exact min and max of P(target) over the feasible polytope."""
     require_same_frame(system.frame, target.frame)
     if not system.feasible:
-        return ProbabilityInterval(target, None, None, False)
+        return ProbabilityInterval(target, None, None)
     bits = target.bits
     objective = [
         _ONE if k == 0 and bits >> w & 1 else _ZERO for k, w in system.owners
@@ -210,7 +215,7 @@ def probability_bounds(
     high = lp.maximize(objective, system.allocation, n, start=system.start)
     if low.status is not lp.LPStatus.OPTIMAL or high.status is not lp.LPStatus.OPTIMAL:
         raise AssertionError("bounded polytope cannot yield an unbounded LP")
-    return ProbabilityInterval(target, base + low.value, base + high.value, True)
+    return ProbabilityInterval(target, base + low.value, base + high.value)
 
 
 def _verdict(
@@ -254,24 +259,20 @@ def audit(
     combined = combination.combined
     frame = combined.frame
     system = build_constraints(bodies, names)
-    combined_tag = classify(combined).tag
+    combined_tag = classify(combined)
 
     targets = {1 << i for i in range(frame.size)}
     targets.update(s.bits for s in combined.focal_sets())
     findings: list[ElementFinding] = []
-    feasible = True
     for bits in sorted(targets):
         subset = FocalSet(frame, bits)
         ds_lower = belief(combined, subset)
         ds_upper = plausibility(combined, subset)
         prob = probability_bounds(system, subset)
-        feasible = feasible and prob.feasible
         findings.append(
             ElementFinding(
                 subset, ds_lower, ds_upper, prob,
                 _verdict(ds_lower, ds_upper, prob, combined_tag),
             )
         )
-    return ConsistencyReport(
-        combination.kappa, combined, tuple(findings), feasible, combination, system
-    )
+    return ConsistencyReport(combination.kappa, combined, tuple(findings), system)

@@ -13,8 +13,8 @@ Schema::
 Masses go through `evidence.as_mass`: fraction strings ("1/4"), integer
 strings, decimal strings that convert exactly ("0.25"), or JSON integers.
 JSON floats are rejected: the binary value the JSON parser hands over is
-usually not the decimal the file shows.  Serialization is canonical (sets ordered by frame position, masses in
-lowest terms), so parse -> dump is idempotent.
+usually not the decimal the file shows.  A document holds at most
+MAX_BODIES bodies of at most MAX_FOCAL_SETS entries each.
 """
 
 from __future__ import annotations
@@ -23,7 +23,15 @@ import json
 from dataclasses import dataclass
 
 from .evidence import BodyOfEvidence, EvidenceError, as_mass, make_body
-from .frames import Frame, FrameError, make_frame, subset
+from .frames import FRAME_SIZE_CAP, Frame, FrameError, make_frame, subset
+
+# An audit solves two LPs per target, and every focal set of the combined body
+# is a target.  Each further body can multiply the combined focal sets by up to
+# MAX_FOCAL_SETS, so both counts are capped before any mass is parsed.
+# MAX_FOCAL_SETS admits a Bayesian body on the largest frame; combining four
+# bodies at that cap took under a second, five took 5.5 s (see the README).
+MAX_FOCAL_SETS = FRAME_SIZE_CAP
+MAX_BODIES = 4
 
 
 class DocumentError(ValueError):
@@ -58,12 +66,20 @@ def parse_document(text: str, source: str = "<input>") -> EvidenceDocument:
     raw_bodies = data.get("bodies")
     if not isinstance(raw_bodies, dict) or not raw_bodies:
         raise DocumentError(f"{source}: 'bodies' must be a non-empty object")
+    if len(raw_bodies) > MAX_BODIES:
+        raise DocumentError(
+            f"{source}: {len(raw_bodies)} bodies; the limit is {MAX_BODIES}"
+        )
 
     bodies: dict[str, BodyOfEvidence] = {}
     for name, entries in raw_bodies.items():
         where = f"{source}: body '{name}'"
         if not isinstance(entries, list):
             raise DocumentError(f"{where}: must be a list of set/mass entries")
+        if len(entries) > MAX_FOCAL_SETS:
+            raise DocumentError(
+                f"{where}: {len(entries)} entries; the limit is {MAX_FOCAL_SETS}"
+            )
         assignments = []
         for k, entry in enumerate(entries):
             entry_where = f"{where}, entry {k + 1}"
@@ -99,17 +115,3 @@ def load_document(path: str) -> EvidenceDocument:
     except OSError as exc:
         raise DocumentError(f"{path}: {exc.strerror or exc}") from None
     return parse_document(text, source=path)
-
-
-def dump_document(doc: EvidenceDocument) -> str:
-    """Canonical JSON form: sets in frame order, masses in lowest terms."""
-    data = {
-        "frame": list(doc.frame.elements),
-        "bodies": {
-            name: [
-                {"set": list(s.labels()), "mass": str(m)} for s, m in body.focal
-            ]
-            for name, body in doc.bodies.items()
-        },
-    }
-    return json.dumps(data, indent=2) + "\n"

@@ -120,12 +120,6 @@ class StructureTag(Enum):
     GENERAL = "General"
 
 
-@dataclass(frozen=True)
-class StructureClass:
-    tag: StructureTag
-    uncertainty_mass: Fraction
-
-
 def make_body(
     frame: Frame, assignments: Iterable[tuple[FocalSet, MassLike]]
 ) -> BodyOfEvidence:
@@ -163,7 +157,7 @@ def vacuous(frame: Frame) -> BodyOfEvidence:
     return make_body(frame, [(frame.universe(), Fraction(1))])
 
 
-def classify(body: BodyOfEvidence) -> StructureClass:
+def classify(body: BodyOfEvidence) -> StructureTag:
     """Classify a body as Partition, QuasiPartition, or General.
 
     Partition: focal sets pairwise disjoint, covering the frame, frame itself
@@ -172,27 +166,15 @@ def classify(body: BodyOfEvidence) -> StructureClass:
     frame.  Everything else, including the vacuous body, is General.
     """
     full = (1 << body.frame.size) - 1
-    uncertainty = Fraction(0)
-    non_omega_bits: list[int] = []
-    for s, m in body.focal:
-        if s.bits == full:
-            uncertainty = m
-        else:
-            non_omega_bits.append(s.bits)
-
+    frame_is_focal = False
     covered = 0
-    disjoint = True
-    for bits in non_omega_bits:
-        if covered & bits:
-            disjoint = False
-            break
-        covered |= bits
-    tiles = disjoint and covered == full
-
-    if tiles and uncertainty == 0:
-        tag = StructureTag.PARTITION
-    elif tiles and uncertainty > 0:
-        tag = StructureTag.QUASI_PARTITION
-    else:
-        tag = StructureTag.GENERAL
-    return StructureClass(tag, uncertainty)
+    for s, _ in body.focal:
+        if s.bits == full:
+            frame_is_focal = True
+        elif covered & s.bits:
+            return StructureTag.GENERAL
+        else:
+            covered |= s.bits
+    if covered != full:
+        return StructureTag.GENERAL
+    return StructureTag.QUASI_PARTITION if frame_is_focal else StructureTag.PARTITION

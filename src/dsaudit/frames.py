@@ -116,31 +116,8 @@ def require_same_frame(first: Frame, second: Frame) -> None:
         )
 
 
-def intersect(s: FocalSet, t: FocalSet) -> FocalSet:
-    require_same_frame(s.frame, t.frame)
-    return FocalSet(s.frame, s.bits & t.bits)
-
-
-def union(s: FocalSet, t: FocalSet) -> FocalSet:
-    require_same_frame(s.frame, t.frame)
-    return FocalSet(s.frame, s.bits | t.bits)
-
-
 def complement(s: FocalSet) -> FocalSet:
     return FocalSet(s.frame, s.bits ^ (1 << s.frame.size) - 1)
-
-
-def is_subset(s: FocalSet, t: FocalSet) -> bool:
-    require_same_frame(s.frame, t.frame)
-    return s.bits & ~t.bits == 0
-
-
-def is_empty(s: FocalSet) -> bool:
-    return s.bits == 0
-
-
-def cardinality(s: FocalSet) -> int:
-    return s.bits.bit_count()
 
 
 def enumerate_subsets(frame: Frame) -> Iterator[FocalSet]:

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .combine import TotalConflictError, combine
+from .combine import TotalConflictError
 from .consistency import (
     ConsistencyReport,
     ProbabilityInterval,
@@ -135,30 +135,6 @@ def closed_form_masses(spec: FamilySpec) -> dict[FocalSet, Fraction]:
     return {s: m for s, m in cells.items() if m != 0}
 
 
-def symbolic_check(
-    spec: FamilySpec,
-) -> tuple[dict[FocalSet, Fraction], BodyOfEvidence]:
-    """Evaluate the closed forms and assert they equal combine()'s output.
-
-    Returns (closed-form masses, combined body).  A mismatch is an internal
-    consistency failure and raises AssertionError.
-    """
-    expected = closed_form_masses(spec)
-    result = combine(*instantiate(spec))
-    actual = {s: m for s, m in result.combined.focal}
-    if actual != expected:
-        raise AssertionError(
-            f"closed forms disagree with combination at {spec}: "
-            f"expected {expected}, got {actual}"
-        )
-    expected_kappa = spec.x * (1 - spec.y)  # type: ignore[operator]
-    if result.kappa != expected_kappa:
-        raise AssertionError(
-            f"kappa {result.kappa} differs from closed form {expected_kappa}"
-        )
-    return expected, result.combined
-
-
 def quasi_balance_equation_holds(x: Fraction, y: Fraction) -> bool | None:
     """Whether 1-y equals (1-x)(1-y)/(1-x(1-y)) exactly.
 
@@ -186,8 +162,11 @@ class SweepPoint:
     xbar: Fraction | None
     y: Fraction
     kappa: Fraction
-    total_conflict: bool
     rows: tuple[SweepRow, ...]
+
+    @property
+    def total_conflict(self) -> bool:
+        return self.kappa == 1
 
     def all_exact(self) -> bool:
         return not self.total_conflict and all(
@@ -198,9 +177,12 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepResult:
     family: Family
-    grid_density: int
     points: tuple[SweepPoint, ...]
-    consistent: tuple[SweepPoint, ...]
+
+    @property
+    def consistent(self) -> tuple[SweepPoint, ...]:
+        """The points where every verdict is ExactMatch."""
+        return tuple(p for p in self.points if p.all_exact())
 
 
 # Every grid point is one audit, and `full_3d` makes the quasi family's point
@@ -237,12 +219,12 @@ def _evaluate_point(spec: FamilySpec) -> SweepPoint:
         report = audit(list(instantiate(spec)))
     except TotalConflictError:
         rows = tuple(SweepRow(s, None, None, None, None) for s in singletons)
-        return SweepPoint(spec.x, spec.xbar, spec.y, Fraction(1), True, rows)
+        return SweepPoint(spec.x, spec.xbar, spec.y, Fraction(1), rows)
     rows = tuple(
         SweepRow(f.subset, f.ds_lower, f.ds_upper, f.prob, f.verdict)
         for f in report.findings
     )
-    return SweepPoint(spec.x, spec.xbar, spec.y, report.kappa, False, rows)
+    return SweepPoint(spec.x, spec.xbar, spec.y, report.kappa, rows)
 
 
 def sweep(
@@ -280,8 +262,7 @@ def sweep(
                     continue
                 for y in steps:
                     points.append(_evaluate_point(quasi_spec(x, xbar, y)))
-    consistent = tuple(p for p in points if p.all_exact())
-    return SweepResult(family, grid_density, tuple(points), consistent)
+    return SweepResult(family, tuple(points))
 
 
 def _frac(value: Fraction | None) -> str:

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from dsaudit import BodyOfEvidence, FocalSet, Frame, make_body, make_frame
+from dsaudit import make_body, make_frame
+from dsaudit.evidence import BodyOfEvidence
+from dsaudit.frames import FocalSet, Frame
 
 MAX_DENOMINATOR = 64
 

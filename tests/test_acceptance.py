@@ -15,7 +15,6 @@ from hypothesis import given, settings
 
 from dsaudit import (
     Family,
-    FocalSet,
     Verdict,
     audit,
     belief,
@@ -27,15 +26,14 @@ from dsaudit import (
     measure_table,
     plausibility,
     probability_bounds,
-    quasi_balance_equation_holds,
     subset,
     sweep,
     vacuous,
-    zadeh_fixture,
 )
 from dsaudit.cli import main as cli_main
 from dsaudit.measures import MeasureKind
-from dsaudit.frames import complement, enumerate_subsets
+from dsaudit.frames import FocalSet, complement, enumerate_subsets
+from dsaudit.sweeps import quasi_balance_equation_holds, zadeh_fixture
 from lp_oracle import bounds_by_vertex_enumeration
 from strategies import bodies, body_pairs, disjoint_support_pairs, partition_bodies
 

@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from dsaudit import cli, sweeps
+from dsaudit import cli, consistency, sweeps
 from dsaudit.cli import main
-from dsaudit.documents import load_document
+from dsaudit.documents import MAX_BODIES, MAX_FOCAL_SETS, load_document
 from dsaudit.repro import CheckResult
 
 DATA = Path(__file__).parent / "data"
@@ -164,6 +164,28 @@ def test_measures_table_over_element_limit_exits_2(runner, tmp_path, monkeypatch
     assert f"the limit is {cli.MAX_TABLE_ELEMENTS}" in result.output
     help_text = runner.invoke(main, ["measures", "--help"]).output
     assert f"at most {cli.MAX_TABLE_ELEMENTS} elements" in help_text
+
+
+def _capped_doc(n_bodies, n_entries):
+    # The entries repeat sets; the caps are checked before any set or mass.
+    body = [{"set": ["a"], "mass": f"1/{n_entries}"}] * n_entries
+    return json.dumps({"frame": ["a", "b"], "bodies": {f"B{k}": body for k in range(n_bodies)}})
+
+
+@pytest.mark.parametrize(
+    "doc, limit",
+    [(_capped_doc(2, MAX_FOCAL_SETS + 1), "entries"), (_capped_doc(MAX_BODIES + 1, 2), "bodies")],
+    ids=["focal-sets", "bodies"],
+)
+def test_audit_over_document_cap_exits_2_before_combining(runner, tmp_path, monkeypatch, doc, limit):
+    def no_combination(*args):
+        raise AssertionError("a combination ran above the document caps")
+
+    monkeypatch.setattr(consistency, "combine_many", no_combination)
+    path = write(tmp_path, "big.json", doc)
+    result = runner.invoke(main, ["audit", "-i", path, "B0", "B1"])
+    assert result.exit_code == 2
+    assert f"{limit}; the limit is" in result.output
 
 
 def test_measures_whole_frame_row(runner, tmp_path):

@@ -6,18 +6,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dsaudit import (
-    ProbabilityConstraintSystem,
     TotalConflictError,
     Verdict,
     audit,
     belief,
     build_constraints,
-    complement,
-    enumerate_subsets,
     make_body,
     make_frame,
     parse_document,
@@ -25,9 +22,12 @@ from dsaudit import (
     probability_bounds,
     subset,
     vacuous,
-    zadeh_fixture,
 )
 from dsaudit import lp
+from dsaudit.consistency import ProbabilityConstraintSystem
+from dsaudit.frames import FocalSet, complement, enumerate_subsets
+from dsaudit.sweeps import zadeh_fixture
+from flow_oracle import two_body_bounds
 from lp_oracle import bounds_by_vertex_enumeration
 from strategies import bodies, frames
 
@@ -392,3 +392,26 @@ def test_belief_rows_bound_like_the_two_sided_system(bodies_):
                 assert not interval.feasible
             else:
                 assert (interval.lower, interval.upper) == oracle
+
+
+@st.composite
+def wide_body_pairs(draw):
+    """Two bodies on a frame of 1-10 elements, with 1-4 focal sets each."""
+    frame = make_frame([f"x{i}" for i in range(draw(st.integers(1, 10)))])
+    return tuple(draw(bodies(frame=frame, max_focal=4)) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_body_pairs(), st.data())
+def test_two_body_bounds_match_the_min_cost_flow(pair, data):
+    system = build_constraints(pair)
+    frame = system.frame
+    targets = [1 << w for w in range(frame.size)]
+    targets.append(data.draw(st.integers(1, (1 << frame.size) - 1)))
+    for bits in targets:
+        interval = probability_bounds(system, FocalSet(frame, bits))
+        flow = two_body_bounds(*pair, bits)
+        event("infeasible" if flow is None else "feasible")
+        assert (flow is None) == (not interval.feasible)
+        if flow is not None:
+            assert (interval.lower, interval.upper) == flow

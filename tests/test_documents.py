@@ -1,10 +1,11 @@
-"""Evidence document parsing, validation context, and canonical round-trips."""
+"""Evidence document parsing, validation context, and size limits."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from dsaudit import DocumentError, dump_document, parse_document
+from dsaudit import FRAME_SIZE_CAP, MAX_BODIES, MAX_FOCAL_SETS, DocumentError, parse_document
 
 GOOD = """
 {
@@ -83,26 +84,32 @@ def test_duplicate_frame_label_rejected():
         parse_document('{"frame": ["a", "a"], "bodies": {"A": []}}')
 
 
-def test_dump_is_canonical_and_idempotent():
-    doc = parse_document(GOOD)
-    text = dump_document(doc)
-    # decimal input was canonicalized to a reduced fraction string
-    assert '"1/2"' in text
-    assert "0.5" not in text
-    doc2 = parse_document(text)
-    assert doc2.frame == doc.frame
-    assert doc2.bodies == doc.bodies
-    assert dump_document(doc2) == text
+def _bayesian_document(n_bodies: int, extra_entries: int = 0, mass: object = None) -> str:
+    """``n_bodies`` uniform Bayesian bodies on the largest frame, each with
+    ``extra_entries`` more copies of its first entry; ``mass`` replaces every
+    mass when given."""
+    labels = [f"x{i}" for i in range(FRAME_SIZE_CAP)]
+    body = [{"set": [x], "mass": mass or f"1/{FRAME_SIZE_CAP}"} for x in labels]
+    body += body[:1] * extra_entries
+    return json.dumps({"frame": labels, "bodies": {f"B{k}": body for k in range(n_bodies)}})
 
 
-def test_dump_sorts_sets_by_frame_order():
-    import json
+def test_focal_set_and_body_counts_at_the_caps_parse():
+    assert MAX_FOCAL_SETS == FRAME_SIZE_CAP
+    doc = parse_document(_bayesian_document(MAX_BODIES))
+    assert len(doc.bodies) == MAX_BODIES
+    assert all(len(b.focal) == MAX_FOCAL_SETS for b in doc.bodies.values())
 
-    text = """
-    {
-      "frame": ["a", "b", "c"],
-      "bodies": {"A": [{"set": ["c", "b"], "mass": "1"}]}
-    }
-    """
-    dumped = json.loads(dump_document(parse_document(text)))
-    assert dumped["bodies"]["A"][0]["set"] == ["b", "c"]
+
+def test_one_focal_set_over_the_cap_is_refused_before_any_mass_parses():
+    # 0.5 is a JSON float, which the mass parser would reject with another message.
+    text = _bayesian_document(1, extra_entries=1, mass=0.5)
+    limit = f"body 'B0': {MAX_FOCAL_SETS + 1} entries; the limit is {MAX_FOCAL_SETS}"
+    with pytest.raises(DocumentError, match=limit):
+        parse_document(text)
+
+
+def test_one_body_over_the_cap_is_refused_before_any_mass_parses():
+    text = _bayesian_document(MAX_BODIES + 1, mass=0.5)
+    with pytest.raises(DocumentError, match=f"{MAX_BODIES + 1} bodies; the limit is {MAX_BODIES}"):
+        parse_document(text)

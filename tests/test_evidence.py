@@ -7,15 +7,13 @@ from hypothesis import given
 
 from dsaudit import (
     EvidenceError,
-    StructureTag,
-    classify,
     combine,
     make_body,
     make_frame,
     subset,
     vacuous,
 )
-from dsaudit.evidence import MAX_MASS_LENGTH, as_mass
+from dsaudit.evidence import MAX_MASS_LENGTH, StructureTag, as_mass, classify
 from strategies import bodies
 
 
@@ -76,9 +74,7 @@ def test_mass_strings_parse_exactly(abc):
 
 def test_classify_partition(abc):
     body = make_body(abc, [(subset(abc, ["a"]), "1/4"), (subset(abc, ["b", "c"]), "3/4")])
-    sc = classify(body)
-    assert sc.tag is StructureTag.PARTITION
-    assert sc.uncertainty_mass == 0
+    assert classify(body) is StructureTag.PARTITION
 
 
 def test_classify_quasi_partition(abc):
@@ -90,27 +86,24 @@ def test_classify_quasi_partition(abc):
             (abc.universe(), "1/4"),
         ],
     )
-    sc = classify(body)
-    assert sc.tag is StructureTag.QUASI_PARTITION
-    assert sc.uncertainty_mass == Fraction(1, 4)
+    assert classify(body) is StructureTag.QUASI_PARTITION
 
 
 def test_classify_overlapping_is_general(abc):
     body = make_body(abc, [(subset(abc, ["a", "b"]), "1/2"), (subset(abc, ["b", "c"]), "1/2")])
-    assert classify(body).tag is StructureTag.GENERAL
+    assert classify(body) is StructureTag.GENERAL
 
 
 def test_classify_noncovering_is_general(abc):
     body = make_body(abc, [(subset(abc, ["a"]), "1/2"), (subset(abc, ["b"]), "1/2")])
-    assert classify(body).tag is StructureTag.GENERAL
+    assert classify(body) is StructureTag.GENERAL
 
 
 def test_vacuous_body_is_general(abc):
     body = vacuous(abc)
     assert body.focal == ((abc.universe(), Fraction(1)),)
     # the frame alone does not tile itself out of its proper subsets
-    assert classify(body).tag is StructureTag.GENERAL
-    assert classify(body).uncertainty_mass == 1
+    assert classify(body) is StructureTag.GENERAL
 
 
 def test_vacuous_is_neutral_for_combination(abc):
@@ -124,7 +117,7 @@ def test_bodies_always_satisfy_axioms(body):
     assert total == 1
     assert all(m > 0 for _, m in body.focal)
     assert all(s.bits != 0 for s, _ in body.focal)
-    tags = {classify(body).tag}
+    tags = {classify(body)}
     assert tags <= {StructureTag.PARTITION, StructureTag.QUASI_PARTITION, StructureTag.GENERAL}
 
 

@@ -6,26 +6,19 @@ from hypothesis import strategies as st
 
 from dsaudit import (
     FRAME_SIZE_CAP,
-    FocalSet,
     FrameError,
     FrameMismatchError,
     belief,
     build_constraints,
-    cardinality,
     combine,
-    complement,
     conflict,
-    enumerate_subsets,
-    intersect,
-    is_empty,
-    is_subset,
     make_body,
     make_frame,
     plausibility,
     probability_bounds,
     subset,
-    union,
 )
+from dsaudit.frames import FocalSet, complement, enumerate_subsets
 from strategies import frames
 
 
@@ -71,23 +64,6 @@ def test_subset_unknown_label():
         subset(frame, ["z"])
 
 
-def test_intersect_examples():
-    frame = make_frame(["a", "b", "c"])
-    a = subset(frame, ["a"])
-    ab = subset(frame, ["a", "b"])
-    c = subset(frame, ["c"])
-    assert intersect(a, ab) == a
-    assert is_empty(intersect(a, c))
-    assert intersect(a, frame.universe()) == a
-
-
-def test_cross_frame_mixing_rejected():
-    f1 = make_frame(["a", "b"])
-    f2 = make_frame(["b", "a"])
-    with pytest.raises(FrameMismatchError):
-        intersect(subset(f1, ["a"]), subset(f2, ["a"]))
-
-
 AB = make_frame(["a", "b"])
 BA = make_frame(["b", "a"])
 
@@ -99,8 +75,6 @@ def _sure_of_a(frame):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: union(subset(AB, ["a"]), subset(BA, ["a"])),
-        lambda: is_subset(subset(AB, ["a"]), subset(BA, ["a"])),
         lambda: make_body(AB, [(subset(BA, ["a"]), 1)]),
         lambda: combine(_sure_of_a(AB), _sure_of_a(BA)),
         lambda: conflict(_sure_of_a(AB), _sure_of_a(BA)),
@@ -110,7 +84,7 @@ def _sure_of_a(frame):
         lambda: probability_bounds(build_constraints([_sure_of_a(AB)]), subset(BA, ["a"])),
     ],
     ids=[
-        "union", "is_subset", "make_body", "combine", "conflict", "belief",
+        "make_body", "combine", "conflict", "belief",
         "plausibility", "build_constraints", "probability_bounds",
     ],
 )
@@ -122,8 +96,7 @@ def test_every_entry_point_rejects_mixed_frames(call):
 def test_complement_subset_cardinality():
     frame = make_frame(["a", "b", "c"])
     assert complement(subset(frame, ["a"])) == subset(frame, ["b", "c"])
-    assert is_subset(subset(frame, ["b"]), subset(frame, ["b", "c"]))
-    assert cardinality(subset(frame, ["a", "b"])) == 2
+    assert complement(frame.universe()) == frame.empty()
 
 
 def test_enumerate_subsets_counts():
@@ -141,9 +114,11 @@ def test_set_algebra_properties(frame, data):
     n = (1 << frame.size) - 1
     s = FocalSet(frame, data.draw(st.integers(0, n)))
     t = FocalSet(frame, data.draw(st.integers(0, n)))
-    assert intersect(s, t) == intersect(t, s)
     assert complement(complement(s)) == s
     # De Morgan
-    assert complement(union(s, t)) == intersect(complement(s), complement(t))
-    assert complement(intersect(s, t)) == union(complement(s), complement(t))
-    assert is_subset(s, t) == (intersect(s, t) == s)
+    assert complement(FocalSet(frame, s.bits | t.bits)).bits == (
+        complement(s).bits & complement(t).bits
+    )
+    assert complement(FocalSet(frame, s.bits & t.bits)).bits == (
+        complement(s).bits | complement(t).bits
+    )

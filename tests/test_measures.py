@@ -8,13 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsaudit import (
-    FocalSet,
     InversionError,
     MeasureKind,
-    MeasureTable,
     belief,
-    enumerate_subsets,
-    complement,
     make_body,
     make_frame,
     mass_from_belief,
@@ -23,6 +19,8 @@ from dsaudit import (
     subset,
     vacuous,
 )
+from dsaudit.frames import FocalSet, complement, enumerate_subsets
+from dsaudit.measures import MeasureTable
 from strategies import bodies, partition_bodies
 
 

@@ -10,21 +10,22 @@ from dsaudit import (
     Family,
     TotalConflictError,
     Verdict,
-    classify,
-    closed_form_masses,
-    instantiate,
+    combine,
     make_frame,
-    partition_spec,
-    quasi_balance_equation_holds,
-    quasi_spec,
     subset,
     sweep,
     sweep_to_csv,
-    symbolic_check,
-    zadeh_fixture,
 )
 from dsaudit import sweeps
-from dsaudit.evidence import StructureTag
+from dsaudit.evidence import StructureTag, classify
+from dsaudit.sweeps import (
+    closed_form_masses,
+    instantiate,
+    partition_spec,
+    quasi_balance_equation_holds,
+    quasi_spec,
+    zadeh_fixture,
+)
 
 F = Fraction
 
@@ -35,15 +36,15 @@ def test_instantiate_partition_point():
     assert a.mass_of(subset(frame, ["a"])) == F(1, 4)
     assert a.mass_of(subset(frame, ["b", "c"])) == F(3, 4)
     assert b.mass_of(subset(frame, ["a", "b"])) == F(1, 2)
-    assert classify(a).tag is StructureTag.PARTITION
+    assert classify(a) is StructureTag.PARTITION
 
 
 def test_instantiate_quasi_point():
     a, b = instantiate(quasi_spec(F(1, 4), F(1, 2), F(1, 2)))
     frame = a.frame
     assert a.mass_of(frame.universe()) == F(1, 4)
-    assert classify(a).tag is StructureTag.QUASI_PARTITION
-    assert classify(b).tag is StructureTag.PARTITION
+    assert classify(a) is StructureTag.QUASI_PARTITION
+    assert classify(b) is StructureTag.PARTITION
 
 
 def test_instantiate_drops_zero_masses():
@@ -79,6 +80,16 @@ def test_closed_forms_quasi_example():
 def test_closed_forms_degenerate_point_is_total_conflict():
     with pytest.raises(TotalConflictError):
         closed_form_masses(partition_spec(F(1), F(0)))
+
+
+def symbolic_check(spec):
+    """The closed-form masses at ``spec``, asserted equal to combine()'s output
+    together with kappa = x(1 - y); returns (closed forms, combined body)."""
+    forms = closed_form_masses(spec)
+    result = combine(*instantiate(spec))
+    assert dict(result.combined.focal) == forms
+    assert result.kappa == spec.x * (1 - spec.y)
+    return forms, result.combined
 
 
 def test_symbolic_check_agrees_at_boundary():
