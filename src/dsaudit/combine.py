@@ -4,6 +4,12 @@ Combination pools the products of masses over equal non-empty pairwise
 intersections and renormalizes by 1 - kappa, where kappa is the total product
 mass landing on empty intersections.  kappa = 1 (disjoint supports) is an
 error: no decision set can be formed.
+
+The products are summed as Python ints: each body's masses are scaled to the
+least common denominator of that body, so every product is an int over the
+product ``da * db`` of the two common denominators.  Only the results become
+Fractions: kappa is ``clash / (da * db)`` and each combined mass is its
+bucket over ``da * db - clash``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .evidence import BodyOfEvidence, make_body
+from .evidence import BodyOfEvidence, EvidenceError, integer_masses
 from .frames import FocalSet, require_same_frame
 
 
@@ -43,15 +49,46 @@ class CombinationResult:
     steps: tuple["CombinationResult", ...] = field(default=(), compare=False)
 
 
+def _products(
+    a: BodyOfEvidence, b: BodyOfEvidence
+) -> tuple[
+    int, int, dict[int, int], dict[int, list[tuple[int, int]]], list[tuple[FocalSet, FocalSet]]
+]:
+    """Every pairwise product of the two bodies' masses, as an int over ``whole``.
+
+    Returns ``(whole, clash, buckets, provenance, conflicts)``: ``whole`` is
+    ``da * db``; ``clash`` totals the products on empty intersections, whose
+    focal-set pairs ``conflicts`` lists in loop order; ``buckets`` maps each
+    non-empty intersection's bitmask to its product total and ``provenance``
+    to its (i, j) pairs.
+    """
+    require_same_frame(a.frame, b.frame)
+    da, a_scaled = integer_masses(a)
+    db, b_scaled = integer_masses(b)
+    clash = 0
+    buckets: dict[int, int] = {}
+    provenance: dict[int, list[tuple[int, int]]] = {}
+    conflicts: list[tuple[FocalSet, FocalSet]] = []
+    for i, (s, ms) in enumerate(a_scaled):
+        s_bits = s.bits
+        for j, (t, mt) in enumerate(b_scaled):
+            inter = s_bits & t.bits
+            if inter == 0:
+                clash += ms * mt
+                conflicts.append((s, t))
+            elif inter in buckets:
+                buckets[inter] += ms * mt
+                provenance[inter].append((i, j))
+            else:
+                buckets[inter] = ms * mt
+                provenance[inter] = [(i, j)]
+    return da * db, clash, buckets, provenance, conflicts
+
+
 def conflict(a: BodyOfEvidence, b: BodyOfEvidence) -> Fraction:
     """The conflict coefficient: total product mass on empty intersections."""
-    require_same_frame(a.frame, b.frame)
-    kappa = Fraction(0)
-    for s, ms in a.focal:
-        for t, mt in b.focal:
-            if s.bits & t.bits == 0:
-                kappa += ms * mt
-    return kappa
+    whole, clash, *_ = _products(a, b)
+    return Fraction(clash, whole)
 
 
 def combine(a: BodyOfEvidence, b: BodyOfEvidence) -> CombinationResult:
@@ -60,36 +97,34 @@ def combine(a: BodyOfEvidence, b: BodyOfEvidence) -> CombinationResult:
     One focal element per distinct non-empty intersection; intersections that
     coincide as sets are pooled into a single element.  Raises
     TotalConflictError when kappa = 1.
+
+    The combined body is built without ``make_body``: its masses are positive
+    products, its focal sets distinct non-empty intersections in ascending
+    bitmask order, on the inputs' checked frame.  The one fact construction
+    does not give, that the buckets hold all the mass kappa leaves, is checked.
     """
-    require_same_frame(a.frame, b.frame)
-    frame = a.frame
-    kappa = Fraction(0)
-    buckets: dict[int, Fraction] = {}
-    provenance: dict[int, list[tuple[int, int]]] = {}
-    conflicts: list[tuple[FocalSet, FocalSet]] = []
-    for i, (s, ms) in enumerate(a.focal):
-        for j, (t, mt) in enumerate(b.focal):
-            inter = s.bits & t.bits
-            if inter == 0:
-                kappa += ms * mt
-                conflicts.append((s, t))
-            else:
-                buckets[inter] = buckets.get(inter, Fraction(0)) + ms * mt
-                provenance.setdefault(inter, []).append((i, j))
-    if kappa == 1:
+    whole, clash, buckets, provenance, conflicts = _products(a, b)
+    scale = whole - clash
+    if scale == 0:
         raise TotalConflictError(
             "total conflict (kappa = 1): the bodies' supports are disjoint, "
             "so no decision set can be formed"
         )
-    scale = 1 - kappa
-    assignments = [
-        (FocalSet(frame, bits), mass / scale) for bits, mass in sorted(buckets.items())
-    ]
-    combined = make_body(frame, assignments)
-    prov = {
-        FocalSet(frame, bits): tuple(pairs) for bits, pairs in sorted(provenance.items())
-    }
-    return CombinationResult(combined, kappa, prov, tuple(conflicts))
+    total = sum(buckets.values())
+    if total != scale:
+        raise EvidenceError(
+            f"combined masses must sum to exactly 1, got {Fraction(total, scale)}: "
+            "the input masses do not sum to 1"
+        )
+    frame = a.frame
+    focal = []
+    prov = {}
+    for bits in sorted(buckets):
+        s = FocalSet(frame, bits)
+        focal.append((s, Fraction(buckets[bits], scale)))
+        prov[s] = tuple(provenance[bits])
+    combined = BodyOfEvidence(frame, tuple(focal))
+    return CombinationResult(combined, Fraction(clash, whole), prov, tuple(conflicts))
 
 
 def combine_many(bodies: Sequence[BodyOfEvidence]) -> CombinationResult:

@@ -115,11 +115,14 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class ElementFinding:
-    subset: FocalSet
     ds_lower: Fraction
     ds_upper: Fraction
     prob: ProbabilityInterval
     verdict: Verdict
+
+    @property
+    def subset(self) -> FocalSet:
+        return self.prob.subset
 
 
 @dataclass(frozen=True)
@@ -271,8 +274,7 @@ def audit(
         prob = probability_bounds(system, subset)
         findings.append(
             ElementFinding(
-                subset, ds_lower, ds_upper, prob,
-                _verdict(ds_lower, ds_upper, prob, combined_tag),
+                ds_lower, ds_upper, prob, _verdict(ds_lower, ds_upper, prob, combined_tag)
             )
         )
     return ConsistencyReport(combination.kappa, combined, tuple(findings), system)

@@ -29,7 +29,8 @@ from .frames import FRAME_SIZE_CAP, Frame, FrameError, make_frame, subset
 # is a target.  Each further body can multiply the combined focal sets by up to
 # MAX_FOCAL_SETS, so both counts are capped before any mass is parsed.
 # MAX_FOCAL_SETS admits a Bayesian body on the largest frame; combining four
-# bodies at that cap took under a second, five took 5.5 s (see the README).
+# bodies at that cap took 0.16 s and gave 12950 focal sets, five took 1.2 s
+# and gave 55454 (see the README).
 MAX_FOCAL_SETS = FRAME_SIZE_CAP
 MAX_BODIES = 4
 

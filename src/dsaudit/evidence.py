@@ -8,6 +8,7 @@ exactly 1.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -112,6 +113,12 @@ class BodyOfEvidence:
 
     def __str__(self) -> str:
         return "; ".join(f"{s}:{m}" for s, m in self.focal)
+
+
+def integer_masses(body: BodyOfEvidence) -> tuple[int, list[tuple[FocalSet, int]]]:
+    """The least common denominator of the masses, and each mass as an int over it."""
+    den = math.lcm(*(m.denominator for _, m in body.focal))
+    return den, [(s, m.numerator * (den // m.denominator)) for s, m in body.focal]
 
 
 class StructureTag(Enum):

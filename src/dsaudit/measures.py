@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .evidence import BodyOfEvidence, EvidenceError, make_body
+from .evidence import BodyOfEvidence, EvidenceError, integer_masses, make_body
 from .frames import FocalSet, Frame, enumerate_subsets, require_same_frame
 
 
@@ -94,10 +94,10 @@ def _subset_sums(sums: list[int], size: int, sign: int) -> None:
 
 def measure_table(body: BodyOfEvidence, kind: MeasureKind) -> MeasureTable:
     """Evaluate belief or plausibility on all 2**size subsets."""
-    den = math.lcm(*(m.denominator for _, m in body.focal))
+    den, scaled = integer_masses(body)
     sums = [0] * (1 << body.frame.size)
-    for s, m in body.focal:
-        sums[s.bits] = m.numerator * (den // m.denominator)
+    for s, m in scaled:
+        sums[s.bits] = m
     _subset_sums(sums, body.frame.size, 1)
     if kind is MeasureKind.PLAUSIBILITY:
         # pl(S) = bel(frame) - bel(not S); listing bel backwards lists bel(not S).

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsaudit import (
+    EvidenceError,
     TotalConflictError,
     combine,
     combine_many,
@@ -15,6 +17,9 @@ from dsaudit import (
     subset,
     vacuous,
 )
+from dsaudit.combine import CombinationResult
+from dsaudit.evidence import BodyOfEvidence
+from dsaudit.frames import FocalSet
 from strategies import bodies, body_pairs, body_triples, disjoint_support_pairs
 
 
@@ -209,3 +214,116 @@ def test_zero_conflict_means_no_renormalization(abc):
     result = combine(a, b)
     assert result.kappa == 0
     assert result.combined.mass_of(subset(abc, ["b"])) == Fraction(1, 6)
+
+
+def test_combine_refuses_masses_that_do_not_sum_to_one(abc):
+    # Built past make_body, so only combine's own sum check can see it.
+    short = BodyOfEvidence(
+        abc, ((subset(abc, ["a"]), Fraction(1, 2)), (subset(abc, ["b"]), Fraction(1, 4)))
+    )
+    with pytest.raises(EvidenceError, match="sum to exactly 1, got 3/4"):
+        combine(short, vacuous(abc))
+
+
+def _reference_combine(a, b):
+    """Dempster's rule as a Fraction pair loop, validated through make_body."""
+    frame = a.frame
+    kappa = Fraction(0)
+    buckets = {}
+    provenance = {}
+    conflicts = []
+    for i, (s, ms) in enumerate(a.focal):
+        for j, (t, mt) in enumerate(b.focal):
+            inter = s.bits & t.bits
+            if inter == 0:
+                kappa += ms * mt
+                conflicts.append((s, t))
+            else:
+                buckets[inter] = buckets.get(inter, Fraction(0)) + ms * mt
+                provenance.setdefault(inter, []).append((i, j))
+    if kappa == 1:
+        raise TotalConflictError(
+            "total conflict (kappa = 1): the bodies' supports are disjoint, "
+            "so no decision set can be formed"
+        )
+    combined = make_body(
+        frame,
+        [(FocalSet(frame, bits), m / (1 - kappa)) for bits, m in sorted(buckets.items())],
+    )
+    prov = {FocalSet(frame, bits): tuple(p) for bits, p in sorted(provenance.items())}
+    return CombinationResult(combined, kappa, prov, tuple(conflicts))
+
+
+def _outcome(rule, *args):
+    """Every field of a combination, in order, or the error it raised."""
+    try:
+        result = rule(*args)
+    except TotalConflictError as exc:
+        return ("total conflict", str(exc), exc.step)
+    steps = result.steps or (result,)
+    return [
+        (r.combined.focal, r.kappa, list(r.provenance.items()), r.conflict_pairs)
+        for r in steps
+    ]
+
+
+def _reference_fold(bodies):
+    acc = bodies[0]
+    steps = []
+    for k, body in enumerate(bodies[1:], start=1):
+        try:
+            steps.append(_reference_combine(acc, body))
+        except TotalConflictError:
+            raise TotalConflictError(
+                f"total conflict while combining body {k + 1} of {len(bodies)}", step=k
+            ) from None
+        acc = steps[-1].combined
+    last = steps[-1]
+    return CombinationResult(
+        last.combined, last.kappa, last.provenance, last.conflict_pairs, tuple(steps)
+    )
+
+
+# Mixed denominators, among them three large primes, so that common
+# denominators and their products grow large.
+_DENOMINATORS = (2, 3, 64, 997, 1009, 1013)
+
+
+@st.composite
+def _prime_bodies(draw):
+    """Two to four bodies on one frame of 1-12 elements, with masses over
+    mixed prime denominators; each body's focal sets lie in a drawn region,
+    and regions drawn from opposite halves make the supports disjoint."""
+    size = draw(st.integers(1, 12))
+    frame = make_frame([f"e{i}" for i in range(size)])
+    full = (1 << size) - 1
+    low = (1 << (size // 2)) - 1
+    regions = [full, low, full ^ low] if low else [full]
+    result = []
+    for _ in range(draw(st.integers(2, 4))):
+        region = draw(st.sampled_from(regions + [draw(st.integers(1, full))]))
+        weights = {}
+        for _ in range(draw(st.integers(1, 8))):
+            bits = draw(st.integers(1, full)) & region or region
+            den = draw(st.sampled_from(_DENOMINATORS))
+            weights[bits] = weights.get(bits, 0) + Fraction(draw(st.integers(1, den)), den)
+        total = sum(weights.values())
+        result.append(
+            make_body(frame, [(FocalSet(frame, b), w / total) for b, w in weights.items()])
+        )
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prime_bodies())
+def test_integer_rule_matches_the_fraction_pair_loop(bodies):
+    for a, b in zip(bodies, bodies[1:]):
+        want = _outcome(_reference_combine, a, b)
+        assert _outcome(combine, a, b) == want
+        if want[0] == "total conflict":
+            assert conflict(a, b) == 1
+        else:
+            assert conflict(a, b) == want[0][1]
+            combined = combine(a, b).combined
+            assert make_body(combined.frame, combined.focal) == combined
+    assert _outcome(combine_many, bodies) == _outcome(_reference_fold, bodies)
