@@ -13,8 +13,10 @@ Schema::
 Masses go through `evidence.as_mass`: fraction strings ("1/4"), integer
 strings, decimal strings that convert exactly ("0.25"), or JSON integers.
 JSON floats are rejected: the binary value the JSON parser hands over is
-usually not the decimal the file shows.  A document holds at most
-MAX_BODIES bodies of at most MAX_FOCAL_SETS entries each.
+usually not the decimal the file shows.  A key may appear only once in
+each object, so a repeated body name or entry key is an error rather than
+a silent overwrite.  A document holds at most MAX_BODIES bodies of at most
+MAX_FOCAL_SETS entries each.
 """
 
 from __future__ import annotations
@@ -45,14 +47,26 @@ class EvidenceDocument:
     bodies: dict[str, BodyOfEvidence]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict, refusing a key that appears twice."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for k in obj if keys.count(k) > 1)
+        raise DocumentError(f"key '{repeated}' appears more than once in one object")
+    return obj
+
+
 def parse_document(text: str, source: str = "<input>") -> EvidenceDocument:
     """Parse and validate an evidence document from JSON text."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except DocumentError as exc:
+        raise DocumentError(f"{source}: {exc}") from None
     if not isinstance(data, dict):
         raise DocumentError(f"{source}: top level must be an object")
 

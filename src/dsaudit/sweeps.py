@@ -1,13 +1,14 @@
 """Parametric two-body families, exact grid sweeps, and classic fixtures.
 
-Two families over the frame {a, b, c} are built in:
+Both built-in families live over the frame {a, b, c} and share B:
 
-* partition-xy: A = {{a}: x, {b,c}: 1-x}, B = {{a,b}: y, {c}: 1-y}.
-  Combination is consistent with the derived probabilities exactly when
-  x = 0 or y = 1, equivalently kappa = 0.
-* quasi-x-xbar-y: A = {{a}: x, {b,c}: xbar, omega: 1-x-xbar}, same B.
-  The forced equality on the {c} cell, 1-y = (1-x)(1-y)/(1-x(1-y)), holds
-  exactly when x = 0, y = 0, or y = 1.
+* quasi-x-xbar-y: A = {{a}: x, {b,c}: xbar, omega: 1-x-xbar},
+  B = {{a,b}: y, {c}: 1-y}.  The forced equality on the {c} cell,
+  1-y = (1-x)(1-y)/(1-x(1-y)), holds exactly when x = 0, y = 0, or y = 1.
+* partition-xy is the xbar = 1-x slice of quasi-x-xbar-y, where no mass is
+  left on omega: A = {{a}: x, {b,c}: 1-x}.  Combination is consistent with
+  the derived probabilities exactly when x = 0 or y = 1, equivalently
+  kappa = 0.
 
 Grid points are exact rationals i/N, so both characterizations are decidable
 equalities at every point.
@@ -47,62 +48,57 @@ DEFAULT_XBAR_SLICES: tuple[Fraction, ...] = (
     Fraction(1),
 )
 
+# The families' frame and the cells they name, built once.
+_FRAME = make_frame(["a", "b", "c"])
+_A, _B, _C, _AB, _BC = (
+    subset(_FRAME, members) for members in (["a"], ["b"], ["c"], ["a", "b"], ["b", "c"])
+)
+_OMEGA = _FRAME.universe()
+
 
 def family_frame():
-    return make_frame(["a", "b", "c"])
+    return _FRAME
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A point in one of the parametric families."""
+    """A point in one of the parametric families; xbar is None for partition-xy."""
 
     family: Family
-    x: Fraction | None = None
-    xbar: Fraction | None = None
-    y: Fraction | None = None
+    x: Fraction
+    xbar: Fraction | None
+    y: Fraction
 
     def __post_init__(self) -> None:
-        if self.family is Family.PARTITION_XY:
-            if self.x is None or self.y is None or self.xbar is not None:
-                raise ValueError("partition-xy takes parameters x and y only")
-            if not (0 <= self.x <= 1 and 0 <= self.y <= 1):
-                raise ValueError(f"x={self.x}, y={self.y} outside [0, 1]")
-        else:
-            if self.x is None or self.xbar is None or self.y is None:
-                raise ValueError("quasi-x-xbar-y takes parameters x, xbar, and y")
-            if self.x < 0 or self.xbar < 0 or self.x + self.xbar > 1:
-                raise ValueError(f"need x, xbar >= 0 and x + xbar <= 1, got {self.x}, {self.xbar}")
-            if not 0 <= self.y <= 1:
-                raise ValueError(f"y={self.y} outside [0, 1]")
+        if (self.xbar is None) != (self.family is Family.PARTITION_XY):
+            raise ValueError(
+                "partition-xy takes parameters x and y; quasi-x-xbar-y takes x, xbar, and y"
+            )
+        x, bc, y = self.x, self.bc_mass, self.y
+        if x < 0 or bc < 0 or x + bc > 1 or not 0 <= y <= 1:
+            raise ValueError(
+                f"need x, xbar >= 0, x + xbar <= 1 and y in [0, 1], got x={x}, xbar={bc}, y={y}"
+            )
+
+    @property
+    def bc_mass(self) -> Fraction:
+        """The mass A puts on {b,c}: xbar, or 1 - x on the partition slice."""
+        return 1 - self.x if self.xbar is None else self.xbar
 
 
 def partition_spec(x: Fraction, y: Fraction) -> FamilySpec:
-    return FamilySpec(Family.PARTITION_XY, x=Fraction(x), y=Fraction(y))
+    return FamilySpec(Family.PARTITION_XY, Fraction(x), None, Fraction(y))
 
 
 def quasi_spec(x: Fraction, xbar: Fraction, y: Fraction) -> FamilySpec:
-    return FamilySpec(
-        Family.QUASI_X_XBAR_Y, x=Fraction(x), xbar=Fraction(xbar), y=Fraction(y)
-    )
+    return FamilySpec(Family.QUASI_X_XBAR_Y, Fraction(x), Fraction(xbar), Fraction(y))
 
 
 def instantiate(spec: FamilySpec) -> tuple[BodyOfEvidence, BodyOfEvidence]:
     """The two bodies at the spec's parameter point; zero masses drop out."""
-    frame = family_frame()
-    a = subset(frame, ["a"])
-    bc = subset(frame, ["b", "c"])
-    ab = subset(frame, ["a", "b"])
-    c = subset(frame, ["c"])
-    omega = frame.universe()
-    assert spec.x is not None and spec.y is not None
-    if spec.family is Family.PARTITION_XY:
-        body_a = make_body(frame, [(a, spec.x), (bc, 1 - spec.x)])
-    else:
-        assert spec.xbar is not None
-        body_a = make_body(
-            frame, [(a, spec.x), (bc, spec.xbar), (omega, 1 - spec.x - spec.xbar)]
-        )
-    body_b = make_body(frame, [(ab, spec.y), (c, 1 - spec.y)])
+    x, bc, y = spec.x, spec.bc_mass, spec.y
+    body_a = make_body(_FRAME, [(_A, x), (_BC, bc), (_OMEGA, 1 - x - bc)])
+    body_b = make_body(_FRAME, [(_AB, y), (_C, 1 - y)])
     return body_a, body_b
 
 
@@ -111,40 +107,30 @@ def closed_form_masses(spec: FamilySpec) -> dict[FocalSet, Fraction]:
 
     Raises TotalConflictError where the family degenerates (x=1, y=0).
     """
-    assert spec.x is not None and spec.y is not None
-    x, y = spec.x, spec.y
+    x, bc, y = spec.x, spec.bc_mass, spec.y
     denom = 1 - x * (1 - y)
     if denom == 0:
         raise TotalConflictError("total conflict (kappa = 1) at x=1, y=0")
-    frame = family_frame()
-    if spec.family is Family.PARTITION_XY:
-        cells = {
-            subset(frame, ["a"]): x * y / denom,
-            subset(frame, ["b"]): (1 - x) * y / denom,
-            subset(frame, ["c"]): (1 - x) * (1 - y) / denom,
-        }
-    else:
-        assert spec.xbar is not None
-        xbar = spec.xbar
-        cells = {
-            subset(frame, ["a"]): x * y / denom,
-            subset(frame, ["b"]): xbar * y / denom,
-            subset(frame, ["c"]): (1 - x) * (1 - y) / denom,
-            subset(frame, ["a", "b"]): (1 - x - xbar) * y / denom,
-        }
+    cells = {
+        _A: x * y / denom,
+        _B: bc * y / denom,
+        _C: (1 - x) * (1 - y) / denom,
+        _AB: (1 - x - bc) * y / denom,
+    }
     return {s: m for s, m in cells.items() if m != 0}
 
 
 def quasi_balance_equation_holds(x: Fraction, y: Fraction) -> bool | None:
-    """Whether 1-y equals (1-x)(1-y)/(1-x(1-y)) exactly.
+    """Whether 1-y equals the combined {c} mass (1-x)(1-y)/(1-x(1-y)) exactly.
 
-    Returns None at the degenerate point x=1, y=0 where the right-hand side
-    is undefined (kappa = 1).
+    The {c} cell is the same for every xbar.  Returns None at the degenerate
+    point x=1, y=0 where the right-hand side is undefined (kappa = 1).
     """
-    denom = 1 - x * (1 - y)
-    if denom == 0:
+    try:
+        forms = closed_form_masses(quasi_spec(x, Fraction(0), y))
+    except TotalConflictError:
         return None
-    return 1 - y == (1 - x) * (1 - y) / denom
+    return 1 - y == forms.get(_C, 0)
 
 
 @dataclass(frozen=True)
@@ -212,13 +198,10 @@ def _grid(n: int) -> list[Fraction]:
 
 
 def _evaluate_point(spec: FamilySpec) -> SweepPoint:
-    frame = family_frame()
-    singletons = [FocalSet(frame, 1 << i) for i in range(frame.size)]
-    assert spec.x is not None and spec.y is not None
     try:
         report = audit(list(instantiate(spec)))
     except TotalConflictError:
-        rows = tuple(SweepRow(s, None, None, None, None) for s in singletons)
+        rows = tuple(SweepRow(s, None, None, None, None) for s in (_A, _B, _C))
         return SweepPoint(spec.x, spec.xbar, spec.y, Fraction(1), rows)
     rows = tuple(
         SweepRow(f.subset, f.ds_lower, f.ds_upper, f.prob, f.verdict)
@@ -249,19 +232,17 @@ def sweep(
             f"the sweep has {count} grid points; the limit is {MAX_SWEEP_POINTS}"
         )
     steps = _grid(grid_density)
-    points: list[SweepPoint] = []
     if family is Family.PARTITION_XY:
-        for x in steps:
-            for y in steps:
-                points.append(_evaluate_point(partition_spec(x, y)))
+        slices: Sequence[Fraction | None] = [None]
     else:
         slices = steps if full_3d else [Fraction(s) for s in xbar_slices]
-        for xbar in slices:
-            for x in steps:
-                if x + xbar > 1:
-                    continue
-                for y in steps:
-                    points.append(_evaluate_point(quasi_spec(x, xbar, y)))
+    points = [
+        _evaluate_point(FamilySpec(family, x, xbar, y))
+        for xbar in slices
+        for x in steps
+        if xbar is None or x + xbar <= 1
+        for y in steps
+    ]
     return SweepResult(family, tuple(points))
 
 
@@ -316,21 +297,8 @@ def zadeh_fixture() -> ConsistencyReport:
 
     Combination concentrates everything on the sliver ({c} gets mass 1 with
     kappa = 9999/10000); the probability constraint system derived from the
-    same two bodies is infeasible.  Both facts are asserted here.
+    same two bodies is infeasible.  `paper-repro` checks both facts.
     """
-    frame = family_frame()
-    first = make_body(
-        frame,
-        [(subset(frame, ["a"]), Fraction(99, 100)), (subset(frame, ["c"]), Fraction(1, 100))],
-    )
-    second = make_body(
-        frame,
-        [(subset(frame, ["b"]), Fraction(99, 100)), (subset(frame, ["c"]), Fraction(1, 100))],
-    )
-    report = audit([first, second])
-    expected = make_body(frame, [(subset(frame, ["c"]), Fraction(1))])
-    if report.combined != expected:
-        raise AssertionError(f"expected combined body {{c}}:1, got {report.combined}")
-    if report.kappa != Fraction(9999, 10000):
-        raise AssertionError(f"expected kappa 9999/10000, got {report.kappa}")
-    return report
+    first = make_body(_FRAME, [(_A, Fraction(99, 100)), (_C, Fraction(1, 100))])
+    second = make_body(_FRAME, [(_B, Fraction(99, 100)), (_C, Fraction(1, 100))])
+    return audit([first, second])

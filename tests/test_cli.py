@@ -326,6 +326,13 @@ def test_paper_repro_mismatch_exits_4(runner, monkeypatch):
     assert "1/2 checks passed" in result.output
 
 
+def test_audit_repeated_body_name_exits_2(runner, tmp_path):
+    path = write(tmp_path, "twice.json", PARTITION_DOC.replace('"B": [', '"A": ['))
+    result = runner.invoke(main, ["audit", "-i", path, "A", "A"])
+    assert result.exit_code == 2
+    assert "key 'A' appears more than once" in result.stderr
+
+
 def test_missing_file_exits_2(runner):
     result = runner.invoke(main, ["combine", "-i", "/nonexistent.json", "A"])
     assert result.exit_code == 2

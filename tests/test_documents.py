@@ -84,6 +84,23 @@ def test_duplicate_frame_label_rejected():
         parse_document('{"frame": ["a", "a"], "bodies": {"A": []}}')
 
 
+@pytest.mark.parametrize(
+    "original, repeated, key",
+    [
+        ('"B": [', '"A": [', "A"),
+        ('"mass": "1/2"}', '"mass": "1/2", "mass": "1"}', "mass"),
+        ('"frame": ["a", "b", "c"],', '"frame": ["a", "b", "c"], "frame": ["a", "b"],', "frame"),
+    ],
+    ids=["body-name", "entry-key", "frame"],
+)
+def test_repeated_key_rejected(original, repeated, key):
+    # The last value of a repeated key must not silently win.
+    text = GOOD.replace(original, repeated)
+    assert text != GOOD
+    with pytest.raises(DocumentError, match=f"doc.json: key '{key}' appears more than once"):
+        parse_document(text, source="doc.json")
+
+
 def _bayesian_document(n_bodies: int, extra_entries: int = 0, mass: object = None) -> str:
     """``n_bodies`` uniform Bayesian bodies on the largest frame, each with
     ``extra_entries`` more copies of its first entry; ``mass`` replaces every

@@ -1,6 +1,9 @@
 """Parametric families, closed forms, grid sweeps, and the classic fixtures."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from dsaudit import (
 from dsaudit import sweeps
 from dsaudit.evidence import StructureTag, classify
 from dsaudit.sweeps import (
+    FamilySpec,
     closed_form_masses,
     instantiate,
     partition_spec,
@@ -54,10 +58,33 @@ def test_instantiate_drops_zero_masses():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        partition_spec(F(5, 4), F(1, 2))
-    with pytest.raises(ValueError):
-        quasi_spec(F(3, 4), F(1, 2), F(1, 2))  # x + xbar > 1
+    invalid = [
+        lambda: partition_spec(F(5, 4), F(1, 2)),
+        lambda: quasi_spec(F(3, 4), F(1, 2), F(1, 2)),  # x + xbar > 1
+        lambda: FamilySpec(Family.PARTITION_XY, F(1, 4), F(3, 4), F(1, 2)),  # xbar given
+        lambda: FamilySpec(Family.QUASI_X_XBAR_Y, F(1, 4), None, F(1, 2)),  # xbar missing
+        lambda: partition_spec(F(-1, 4), F(1, 2)),
+        lambda: quasi_spec(F(-1, 4), F(1, 2), F(1, 2)),
+        lambda: partition_spec(F(1, 4), F(-1, 2)),
+        lambda: quasi_spec(F(1, 4), F(1, 2), F(-1, 2)),
+    ]
+    for make in invalid:
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_partition_family_is_the_xbar_one_minus_x_slice():
+    grid = [F(i, 6) for i in range(7)]
+    for x in grid:
+        for y in grid:
+            partition, quasi = partition_spec(x, y), quasi_spec(x, 1 - x, y)
+            assert instantiate(partition) == instantiate(quasi)
+            if x == 1 and y == 0:
+                for spec in (partition, quasi):
+                    with pytest.raises(TotalConflictError):
+                        closed_form_masses(spec)
+            else:
+                assert closed_form_masses(partition) == closed_form_masses(quasi)
 
 
 def test_closed_forms_partition_example():
@@ -254,6 +281,24 @@ def test_sweep_csv_deterministic_and_well_formed():
     assert any(ln.startswith("# consistent points") for ln in lines)
     # exact fraction strings only, never floats
     assert "." not in text1.replace("...", "")
+
+
+SWEEP_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "sweep_digests.json").read_text(encoding="utf-8")
+)
+FAMILY_NAMES = {"partition-xy": Family.PARTITION_XY, "quasi-x-xbar-y": Family.QUASI_X_XBAR_Y}
+
+
+@pytest.mark.parametrize("case", SWEEP_DIGESTS, ids=lambda c: c["name"])
+def test_sweep_csv_bytes_are_pinned(case):
+    # Four sweeps' CSV output, pinned byte for byte against the recorded SHA-256.
+    options = {}
+    if "full_3d" in case:
+        options["full_3d"] = case["full_3d"]
+    if "xbar_slices" in case:
+        options["xbar_slices"] = [F(s) for s in case["xbar_slices"]]
+    text = sweep_to_csv(sweep(FAMILY_NAMES[case["family"]], case["grid"], **options))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == case["sha256"]
 
 
 def test_zadeh_fixture_report():
