@@ -246,8 +246,11 @@ def cmd_sweep(
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     text = sweep_to_csv(result)
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(EXIT_INPUT_ERROR, f"{output}: {exc.strerror or exc}")
     n_rows = sum(len(p.rows) for p in result.points)
     click.echo(f"wrote {n_rows} rows ({len(result.points)} grid points) to {output}")
 

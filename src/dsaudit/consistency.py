@@ -22,74 +22,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from . import lp
 from .combine import combine_many
 from .evidence import BodyOfEvidence, StructureTag, classify
 from .frames import FocalSet, Frame, require_same_frame
-from .measures import MeasureKind, belief, measure_table, plausibility
+from .measures import belief, plausibility
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class ProbabilityConstraintSystem:
-    """The distributions over the frame that every body allows.
+    """The distributions over the frame that every body allows, as the
+    allocation LP.
 
-    `allocation` holds the LP rows over the allocation variables, `owners`
+    `constraints` holds the LP rows over the allocation variables, `owners`
     the (body index, element index) of each variable, and `fixed` body 0's
     singleton masses per element: P(w) is fixed[w] plus body 0's variables
-    owned by w.  `start` is the simplex phase one of `allocation`, computed
-    on construction: None when no distribution satisfies every body.
-
-    `constraints` states the same polytope over one P(element) per element:
-    non-negativity, total mass 1, and belief(S) <= P(S) per body and proper
-    subset of positive belief (P(S) <= plausibility(S) is the belief row of
-    the complement).  It is built from the bodies on first access, for
-    oracles and readers; no bound is solved over it.
+    owned by w.  `start` is the simplex phase one of `constraints`: None
+    when no distribution satisfies every body.
     """
 
     frame: Frame
-    bodies: tuple[BodyOfEvidence, ...]
-    names: tuple[str, ...]
-    allocation: tuple[lp.LinearConstraint, ...] = field(repr=False)
+    constraints: tuple[lp.LinearConstraint, ...] = field(repr=False)
     owners: tuple[tuple[int, int], ...] = field(repr=False)
     fixed: tuple[Fraction, ...] = field(repr=False)
-    start: lp.FeasibleStart | None = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        start = lp.phase_one(self.allocation, len(self.owners))
-        object.__setattr__(self, "start", start)
+    start: lp.FeasibleStart | None = field(compare=False, repr=False)
 
     @property
     def feasible(self) -> bool:
         return self.start is not None
-
-    @cached_property
-    def constraints(self) -> tuple[lp.LinearConstraint, ...]:
-        n = self.frame.size
-
-        def indicator(bits: int) -> tuple[Fraction, ...]:
-            return tuple([_ONE if bits >> i & 1 else _ZERO for i in range(n)])
-
-        rows = [
-            lp.LinearConstraint(indicator(1 << i), lp.Sense.GE, _ZERO, f"nonneg:P({label})")
-            for i, label in enumerate(self.frame.elements)
-        ]
-        full = (1 << n) - 1
-        rows.append(lp.LinearConstraint(indicator(full), lp.Sense.EQ, _ONE, "total:1"))
-        for body, name in zip(self.bodies, self.names):
-            for s, lo in measure_table(body, MeasureKind.BELIEF).values.items():
-                if 0 < s.bits < full and lo > 0:
-                    rows.append(
-                        lp.LinearConstraint(
-                            indicator(s.bits), lp.Sense.GE, lo, f"{name}:bel:{s}"
-                        )
-                    )
-        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -178,14 +142,14 @@ def build_constraints(
             if len(members) == 1:
                 fixed[k][members[0]] = mass
                 continue
-            coeffs = [_ZERO] * width
-            coeffs[len(owners) : len(owners) + len(members)] = [_ONE] * len(members)
+            coeffs = [0] * width
+            coeffs[len(owners) : len(owners) + len(members)] = [1] * len(members)
             rows.append(lp.LinearConstraint(tuple(coeffs), lp.Sense.EQ, mass, f"{name}:split:{s}"))
             owners.extend([(k, w) for w in members])
     for k in range(1, len(bodies)):
         for w in range(n - 1):
             coeffs = [
-                _ONE if owner == (k, w) else -_ONE if owner == (0, w) else _ZERO
+                1 if owner == (k, w) else -1 if owner == (0, w) else 0
                 for owner in owners
             ]
             rows.append(
@@ -196,9 +160,8 @@ def build_constraints(
                     f"{names[k]}:marginal:{frame.elements[w]}",
                 )
             )
-    return ProbabilityConstraintSystem(
-        frame, tuple(bodies), tuple(names), tuple(rows), tuple(owners), tuple(fixed[0])
-    )
+    start = lp.phase_one(rows, len(owners))
+    return ProbabilityConstraintSystem(frame, tuple(rows), tuple(owners), tuple(fixed[0]), start)
 
 
 def probability_bounds(
@@ -209,13 +172,11 @@ def probability_bounds(
     if not system.feasible:
         return ProbabilityInterval(target, None, None)
     bits = target.bits
-    objective = [
-        _ONE if k == 0 and bits >> w & 1 else _ZERO for k, w in system.owners
-    ]
+    objective = [1 if k == 0 and bits >> w & 1 else 0 for k, w in system.owners]
     base = sum([m for w, m in enumerate(system.fixed) if bits >> w & 1], _ZERO)
     n = len(objective)
-    low = lp.minimize(objective, system.allocation, n, start=system.start)
-    high = lp.maximize(objective, system.allocation, n, start=system.start)
+    low = lp.minimize(objective, system.constraints, n, start=system.start)
+    high = lp.maximize(objective, system.constraints, n, start=system.start)
     if low.status is not lp.LPStatus.OPTIMAL or high.status is not lp.LPStatus.OPTIMAL:
         raise AssertionError("bounded polytope cannot yield an unbounded LP")
     return ProbabilityInterval(target, base + low.value, base + high.value)

@@ -67,6 +67,12 @@ def parse_document(text: str, source: str = "<input>") -> EvidenceDocument:
         ) from None
     except DocumentError as exc:
         raise DocumentError(f"{source}: {exc}") from None
+    except ValueError:
+        # The JSON parser raises a plain ValueError only for an integer
+        # literal beyond Python's int digit limit (4300 digits by default).
+        raise DocumentError(f"{source}: a JSON integer has too many digits") from None
+    except RecursionError:
+        raise DocumentError(f"{source}: arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         raise DocumentError(f"{source}: top level must be an object")
 
@@ -129,4 +135,6 @@ def load_document(path: str) -> EvidenceDocument:
             text = fh.read()
     except OSError as exc:
         raise DocumentError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     return parse_document(text, source=path)

@@ -1,13 +1,14 @@
 """Exact linear programming over rationals.
 
-A small two-phase primal simplex with exact `fractions.Fraction` inputs and
-results, whose tableau holds Python `int`s.  Every row is kept as a positive
-integer multiple of the row a `Fraction` tableau would hold.  This is
-fraction-free pivoting (Edmonds 1967; Bareiss 1968) with gcd normalisation
-in place of exact division: a pivot replaces each row by p*row -
-row[c]*pivot_row, and the ratio test cross-multiplies.  Positive scales
-change no sign and no ratio, so every pivot is the one the `Fraction`
-tableau would make, without its per-entry gcd and object construction.
+A small two-phase primal simplex with exact inputs, each an `int` or a
+`fractions.Fraction`, and exact `Fraction` results, whose tableau holds
+Python `int`s.  Every row is kept as a positive integer multiple of the row
+a `Fraction` tableau would hold.  This is fraction-free pivoting (Edmonds
+1967; Bareiss 1968) with gcd normalisation in place of exact division: a
+pivot replaces each row by p*row - row[c]*pivot_row, and the ratio test
+cross-multiplies.  Positive scales change no sign and no ratio, so every
+pivot is the one the `Fraction` tableau would make, without its per-entry
+gcd and object construction.
 Bland's rule is used for both the entering and leaving choices, which rules
 out cycling, so the solver terminates on every input.  Degenerate and
 redundant constraints are tolerated; redundant rows left over from phase one
@@ -48,9 +49,9 @@ class LPStatus(Enum):
 class LinearConstraint:
     """coeffs . x  (sense)  rhs, with an optional provenance tag."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     sense: Sense
-    rhs: Fraction
+    rhs: int | Fraction
     tag: str = ""
 
     def satisfied_by(self, point: Sequence[Fraction]) -> bool:
@@ -191,8 +192,7 @@ def phase_one(
     for con in constraints:
         if len(con.coeffs) != num_vars:
             raise ValueError(f"constraint width mismatch: {con}")
-        values = [Fraction(v) for v in con.coeffs]
-        values.append(Fraction(con.rhs))
+        values = [*con.coeffs, con.rhs]
         scale = lcm(*[v.denominator for v in values])
         ints = [v.numerator * (scale // v.denominator) for v in values]
         sense = con.sense
@@ -263,7 +263,7 @@ def phase_one(
 
 
 def minimize(
-    objective: Sequence[Fraction],
+    objective: Sequence[int | Fraction],
     constraints: Sequence[LinearConstraint],
     num_vars: int,
     start: FeasibleStart | None = None,
@@ -273,7 +273,7 @@ def minimize(
     `start`, when given, must be `phase_one(constraints, num_vars)`: passing
     it skips phase one, which is the same for every objective.
     """
-    obj = [Fraction(c) for c in objective]
+    obj = list(objective)
     if len(obj) != num_vars:
         raise ValueError("objective length does not match num_vars")
     if start is None:
@@ -301,13 +301,13 @@ def minimize(
 
 
 def maximize(
-    objective: Sequence[Fraction],
+    objective: Sequence[int | Fraction],
     constraints: Sequence[LinearConstraint],
     num_vars: int,
     start: FeasibleStart | None = None,
 ) -> LPSolution:
     """Maximize objective . x subject to the constraints and x >= 0."""
-    sol = minimize([-Fraction(c) for c in objective], constraints, num_vars, start)
+    sol = minimize([-c for c in objective], constraints, num_vars, start)
     if sol.status is not LPStatus.OPTIMAL:
         return sol
     assert sol.value is not None

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .evidence import BodyOfEvidence, EvidenceError, integer_masses, make_body
+from .evidence import BodyOfEvidence, integer_masses
 from .frames import FocalSet, Frame, enumerate_subsets, require_same_frame
 
 
@@ -116,9 +116,13 @@ def mass_from_belief(table: MeasureTable) -> BodyOfEvidence:
     subsets at once by one Mobius butterfly over the table.
 
     Raises InversionError, naming the offending subset where one exists, if
-    the table is not an exact belief function: incomplete, wrong endpoints, a
-    value that is not an int or Fraction, a negative recovered mass (the
-    lowest such bitmask is named), or recovered masses not forming a body.
+    the table is not an exact belief function: incomplete, wrong endpoints,
+    a value that is not an int or Fraction, or a negative recovered mass (the
+    lowest such bitmask is named).  Past those checks the recovered masses
+    form a body by construction: the empty set's mass is bel(empty) = 0, the
+    masses sum to bel(frame) = 1, and the focal sets are distinct and in
+    ascending bitmask order.  So the body is built directly, not through
+    make_body.
     """
     if table.kind is not MeasureKind.BELIEF:
         raise InversionError(f"expected a Belief table, got {table.kind.value}")
@@ -161,7 +165,4 @@ def mass_from_belief(table: MeasureTable) -> BodyOfEvidence:
             )
         if m > 0:
             assignments.append((FocalSet(frame, bits), Fraction(m, den)))
-    try:
-        return make_body(frame, assignments)
-    except EvidenceError as exc:
-        raise InversionError(f"recovered masses do not form a body: {exc}") from exc
+    return BodyOfEvidence(frame, tuple(assignments))

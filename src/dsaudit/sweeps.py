@@ -186,11 +186,8 @@ def _grid_points(
     if full_3d:
         # xbar = j/n and x = i/n with i + j <= n
         return side * side * (side + 1) // 2
-    # x = i/n with i <= n * (1 - xbar), for i in 0..n
-    return side * sum(
-        min(side, max(0, math.floor(n * (1 - Fraction(xbar))) + 1))
-        for xbar in xbar_slices
-    )
+    # x = i/n with i <= n * (1 - xbar); none when xbar > 1
+    return side * sum(max(0, math.floor(n * (1 - xbar)) + 1) for xbar in xbar_slices)
 
 
 def _grid(n: int) -> list[Fraction]:
@@ -221,11 +218,16 @@ def sweep(
     The quasi family is swept per xbar slice (or over the full 3-D grid when
     ``full_3d``); points violating x + xbar <= 1 are skipped.  Points are
     visited in canonical grid order, so output is deterministic.  Raises
-    ValueError, before any audit, on a density below 2 or a sweep of more
-    than MAX_SWEEP_POINTS points.
+    ValueError, before any audit, on a density below 2, a negative xbar
+    slice, or a sweep of more than MAX_SWEEP_POINTS points.
     """
     if grid_density < 2:
         raise ValueError("grid density must be at least 2")
+    if family is Family.QUASI_X_XBAR_Y and not full_3d:
+        xbar_slices = [Fraction(xbar) for xbar in xbar_slices]
+        negative = next((xbar for xbar in xbar_slices if xbar < 0), None)
+        if negative is not None:
+            raise ValueError(f"xbar slice {negative} is negative")
     count = _grid_points(family, grid_density, xbar_slices, full_3d)
     if count > MAX_SWEEP_POINTS:
         raise ValueError(
@@ -235,7 +237,7 @@ def sweep(
     if family is Family.PARTITION_XY:
         slices: Sequence[Fraction | None] = [None]
     else:
-        slices = steps if full_3d else [Fraction(s) for s in xbar_slices]
+        slices = steps if full_3d else xbar_slices
     points = [
         _evaluate_point(FamilySpec(family, x, xbar, y))
         for xbar in slices

@@ -286,6 +286,29 @@ def test_sweep_bad_xbar_slice_exits_2(runner, tmp_path):
     assert "--xbar-slices: cannot parse mass '0.5.5'" in result.stderr
 
 
+def test_sweep_to_unwritable_path_exits_2(runner, tmp_path):
+    out = tmp_path / "missing" / "s.csv"
+    result = runner.invoke(main, ["sweep", "partition-xy", "--grid", "3", "-o", str(out)])
+    assert result.exit_code == 2
+    assert f"{out}: No such file or directory" in result.stderr
+    assert not out.exists()
+
+
+def test_sweep_negative_xbar_slice_exits_2_before_any_audit(runner, tmp_path, monkeypatch):
+    def no_audit(*args, **kwargs):
+        raise AssertionError("an audit ran for a negative xbar slice")
+
+    monkeypatch.setattr(sweeps, "audit", no_audit)
+    out = tmp_path / "q.csv"
+    result = runner.invoke(
+        main,
+        ["sweep", "quasi-x-xbar-y", "--grid", "12", "--xbar-slices", "0,-1/2", "-o", str(out)],
+    )
+    assert result.exit_code == 2
+    assert "xbar slice -1/2 is negative" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [["partition-xy", "--grid", "1000"], ["quasi-x-xbar-y", "--grid", "40", "--full-3d"]],
@@ -331,6 +354,24 @@ def test_audit_repeated_body_name_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["audit", "-i", path, "A", "A"])
     assert result.exit_code == 2
     assert "key 'A' appears more than once" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (PARTITION_DOC.replace('"1/4"', "1" * 5000).encode(), "a JSON integer has too many digits"),
+        (b"[" * 200_000, "arrays or objects nested too deeply"),
+        (PARTITION_DOC.replace('"1/4"', '"1/4 \u00e9"').encode("latin-1"), "not UTF-8 text"),
+    ],
+    ids=["long-integer", "deep-nesting", "not-utf8"],
+)
+def test_malformed_document_exits_2(runner, tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, ["combine", "-i", str(path), "A"])
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert len(result.stderr) < 300
 
 
 def test_missing_file_exits_2(runner):

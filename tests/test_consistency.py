@@ -13,22 +13,19 @@ from dsaudit import (
     TotalConflictError,
     Verdict,
     audit,
-    belief,
     build_constraints,
     make_body,
     make_frame,
     parse_document,
-    plausibility,
     probability_bounds,
     subset,
     vacuous,
 )
 from dsaudit import lp
-from dsaudit.consistency import ProbabilityConstraintSystem
 from dsaudit.frames import FocalSet, complement, enumerate_subsets
 from dsaudit.sweeps import zadeh_fixture
 from flow_oracle import two_body_bounds
-from lp_oracle import bounds_by_vertex_enumeration
+from lp_oracle import element_bounds_by_vertex_enumeration, two_sided_system
 from strategies import bodies, frames
 
 F = Fraction
@@ -76,10 +73,8 @@ def test_partition_system_pins_all_probabilities(partition_bodies_pair, abc):
 
 def test_vacuous_body_contributes_no_constraints(abc):
     system = build_constraints([vacuous(abc)])
-    # simplex only: non-negativity per element plus the total
-    assert len(system.constraints) == abc.size + 1
     # one allocation row: the frame's mass splits over its elements
-    assert len(system.allocation) == 1
+    assert len(system.constraints) == 1
     interval = probability_bounds(system, subset(abc, ["b"]))
     assert (interval.lower, interval.upper) == (0, 1)
 
@@ -211,9 +206,10 @@ def test_lower_and_upper_bounds_are_complementary(body):
 
 
 def test_bounds_are_attained_by_feasible_distributions(quasi_bodies_pair, abc):
-    # The reported optima must be witnessed by points satisfying every
-    # constraint exactly, with the objective equal to the reported bound.
+    # The reported optima must be witnessed by distributions satisfying every
+    # row of the two-sided system exactly, with P(s) equal to the bound.
     system = build_constraints(list(quasi_bodies_pair))
+    two_sided = two_sided_system(list(quasi_bodies_pair))
     for s in enumerate_subsets(abc):
         objective = tuple(
             F(1) if s.bits >> i & 1 else F(0) for i in range(abc.size)
@@ -223,10 +219,10 @@ def test_bounds_are_attained_by_feasible_distributions(quasi_bodies_pair, abc):
             (lp.minimize, interval.lower),
             (lp.maximize, interval.upper),
         ):
-            sol = solver(objective, system.constraints, abc.size)
+            sol = solver(objective, two_sided, abc.size)
             assert sol.status is lp.LPStatus.OPTIMAL
             assert sol.value == bound
-            assert all(con.satisfied_by(sol.point) for con in system.constraints)
+            assert all(con.satisfied_by(sol.point) for con in two_sided)
             assert sum(o * x for o, x in zip(objective, sol.point)) == bound
 
 
@@ -278,26 +274,7 @@ def test_feasible_audit_runs_phase_one_once(partition_bodies_pair, lp_calls):
     assert lp_calls["minimize"] == 2 * len(report.findings)
 
 
-@pytest.fixture
-def no_p_space_view(monkeypatch):
-    """Make any read of `ProbabilityConstraintSystem.constraints` fail."""
-
-    def refuse(self):
-        raise AssertionError("the P-space constraint rows were built")
-
-    monkeypatch.setattr(ProbabilityConstraintSystem, "constraints", property(refuse))
-
-
-def test_audit_never_builds_the_p_space_rows(no_p_space_view, partition_bodies_pair):
-    report = audit(list(partition_bodies_pair))
-    assert [(f.prob.lower, f.prob.upper) for f in report.findings] == [
-        (F(1, 4), F(1, 4)),
-        (F(1, 4), F(1, 4)),
-        (F(1, 2), F(1, 2)),
-    ]
-
-
-def test_twenty_element_audit_needs_no_power_set(no_p_space_view):
+def test_twenty_element_audit_needs_no_power_set():
     # A splits the frame into halves; B puts 1/4 on e0 and the rest on the
     # frame.  So P(first half) = P(second half) = 1/2 and P(e0) is in
     # [1/4, 1/2], while the combined body has {e0}: 1/7 and 3/7 per half.
@@ -337,29 +314,6 @@ def test_twenty_element_audit_needs_no_power_set(no_p_space_view):
     assert report.worst_exit_code() == 4
 
 
-def _two_sided_system(bodies_):
-    """Simplex rows plus belief(S) <= P(S) <= plausibility(S) for every body
-    and proper subset, skipping only bounds of 0 and 1."""
-    frame = bodies_[0].frame
-    n = frame.size
-    full = (1 << n) - 1
-
-    def row(bits):
-        return tuple(F(bits >> i & 1) for i in range(n))
-
-    rows = [lp.LinearConstraint(row(1 << i), lp.Sense.GE, F(0)) for i in range(n)]
-    rows.append(lp.LinearConstraint(row(full), lp.Sense.EQ, F(1)))
-    for body in bodies_:
-        for s in enumerate_subsets(frame):
-            if 0 < s.bits < full:
-                lo, hi = belief(body, s), plausibility(body, s)
-                if lo > 0:
-                    rows.append(lp.LinearConstraint(row(s.bits), lp.Sense.GE, lo))
-                if hi < 1:
-                    rows.append(lp.LinearConstraint(row(s.bits), lp.Sense.LE, hi))
-    return rows
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     frames(min_size=2, max_size=5).flatmap(
@@ -368,30 +322,26 @@ def _two_sided_system(bodies_):
 )
 def test_belief_rows_bound_like_the_two_sided_system(bodies_):
     system = build_constraints(bodies_)
-    assert all(
-        c.sense is not lp.Sense.LE and ":pl:" not in c.tag for c in system.constraints
-    )
-    two_sided = _two_sided_system(bodies_)
+    assert all(c.sense is lp.Sense.EQ for c in system.constraints)
+    two_sided = two_sided_system(bodies_)
     n = system.frame.size
+    start = lp.phase_one(two_sided, n)
+    assert (start is None) == (not system.feasible)
+    # The vertex oracle is exhaustive, so, as in criterion 7, it checks the
+    # singleton targets of 3-element frames only.
+    oracle = element_bounds_by_vertex_enumeration(two_sided, n) if n == 3 else None
     for s in enumerate_subsets(system.frame):
         objective = tuple(F(s.bits >> i & 1) for i in range(n))
         interval = probability_bounds(system, s)
-        low = lp.minimize(objective, two_sided, n)
-        high = lp.maximize(objective, two_sided, n)
-        if low.status is lp.LPStatus.INFEASIBLE:
-            assert high.status is lp.LPStatus.INFEASIBLE
-            assert not interval.feasible
-        else:
-            assert interval.feasible
+        if start is not None:
+            low = lp.minimize(objective, two_sided, n, start=start)
+            high = lp.maximize(objective, two_sided, n, start=start)
             assert (interval.lower, interval.upper) == (low.value, high.value)
-        # The vertex oracle is exhaustive, so, as in criterion 7, it checks
-        # the singleton targets of 3-element frames only.
         if n == 3 and s.bits.bit_count() == 1:
-            oracle = bounds_by_vertex_enumeration(two_sided, n, objective)
             if oracle is None:
                 assert not interval.feasible
             else:
-                assert (interval.lower, interval.upper) == oracle
+                assert (interval.lower, interval.upper) == oracle[s.bits.bit_length() - 1]
 
 
 @st.composite

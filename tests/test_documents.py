@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dsaudit import FRAME_SIZE_CAP, MAX_BODIES, MAX_FOCAL_SETS, DocumentError, parse_document
+from dsaudit.documents import load_document
 
 GOOD = """
 {
@@ -72,6 +73,24 @@ def test_unknown_label_reports_entry():
     text = GOOD.replace('"set": ["c"]', '"set": ["z"]')
     with pytest.raises(DocumentError, match="body 'B', entry 2.*unknown label"):
         parse_document(text)
+
+
+def test_integer_beyond_the_digit_limit_rejected():
+    text = GOOD.replace('"1/4"', "1" * 5000)
+    with pytest.raises(DocumentError, match="doc.json: a JSON integer has too many digits"):
+        parse_document(text, source="doc.json")
+
+
+def test_deep_nesting_rejected():
+    with pytest.raises(DocumentError, match="doc.json: arrays or objects nested too deeply"):
+        parse_document("[" * 200_000, source="doc.json")
+
+
+def test_file_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(GOOD.replace('"a"', '"\u00e9"').encode("latin-1"))
+    with pytest.raises(DocumentError, match=r"latin1.json: not UTF-8 text \(byte \d+\)"):
+        load_document(str(path))
 
 
 def test_missing_bodies_rejected():

@@ -250,6 +250,15 @@ def test_sweep_rejects_bad_input():
         sweep(Family.PARTITION_XY, 1)
 
 
+def test_sweep_refuses_a_negative_xbar_slice_before_any_audit(monkeypatch):
+    def no_audit(*args, **kwargs):
+        raise AssertionError("an audit ran for a negative xbar slice")
+
+    monkeypatch.setattr(sweeps, "audit", no_audit)
+    with pytest.raises(ValueError, match="xbar slice -1/2 is negative"):
+        sweep(Family.QUASI_X_XBAR_Y, 12, xbar_slices=(0, F(-1, 2)))
+
+
 @pytest.mark.parametrize(
     "family, grid, options",
     [
