@@ -10,6 +10,7 @@ error, 3 total conflict, 4 inconsistency detected (an audit violation, a
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from typing import NoReturn
 
 import click
@@ -18,7 +19,7 @@ from .combine import TotalConflictError, combine_many
 from .consistency import ConsistencyReport, audit as run_audit
 from .documents import DocumentError, EvidenceDocument, load_document
 from .evidence import BodyOfEvidence, EvidenceError, as_mass
-from .frames import FocalSet, Frame, FrameError, subset
+from .frames import FocalSet, Frame, FrameError, enumerate_subsets, subset
 from .measures import MeasureKind, belief, mass_from_belief, measure_table, plausibility
 from .repro import run_reproduction
 from .sweeps import DEFAULT_XBAR_SLICES, MAX_SWEEP_POINTS, Family, sweep as run_sweep, sweep_to_csv
@@ -157,10 +158,15 @@ def cmd_measures(
             f"--all and --invert tabulate every subset of the frame; it has "
             f"{doc.frame.size} elements, and the limit is {MAX_TABLE_ELEMENTS}",
         )
+    if show_all or invert:
+        bel = measure_table(body, MeasureKind.BELIEF)
     if show_all:
-        bel = measure_table(body, MeasureKind.BELIEF).values
-        pl = measure_table(body, MeasureKind.PLAUSIBILITY).values
-        rows = [[str(s), str(value), str(pl[s])] for s, value in bel.items()]
+        pl = measure_table(body, MeasureKind.PLAUSIBILITY)
+        den = bel.den
+        rows = [
+            [str(s), str(Fraction(b, den)), str(Fraction(p, den))]
+            for s, b, p in zip(enumerate_subsets(doc.frame), bel.ints, pl.ints)
+        ]
     else:
         if not subsets:
             _fail(EXIT_INPUT_ERROR, "pass subsets as arguments or use --all")
@@ -173,7 +179,7 @@ def cmd_measures(
         ]
     _emit(rows, ["subset", "belief", "plausibility"], fmt, "measures")
     if invert:
-        recovered = mass_from_belief(measure_table(body, MeasureKind.BELIEF))
+        recovered = mass_from_belief(bel)
         if recovered == body:
             click.echo("mass recovery from belief: OK (round-trip exact)")
         else:

@@ -14,7 +14,9 @@ from typing import Iterator, Sequence
 # An audit's LP has one variable per element of each focal set with two or
 # more elements, so its size grows with the frame; the cap keeps that exact
 # simplex small.  Whole-subset tables (`measure_table`, `mass_from_belief`,
-# `enumerate_subsets`) still take 2**n steps; `dsaudit measures` bounds its
+# `enumerate_subsets`) still take 2**n steps and memory: a measure table is
+# one common denominator and one int per subset, and it makes a `FocalSet`
+# and a `Fraction` only for each value read.  `dsaudit measures` bounds its
 # tables separately.
 FRAME_SIZE_CAP = 24
 

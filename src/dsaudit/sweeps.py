@@ -219,15 +219,15 @@ def sweep(
     ``full_3d``); points violating x + xbar <= 1 are skipped.  Points are
     visited in canonical grid order, so output is deterministic.  Raises
     ValueError, before any audit, on a density below 2, a negative xbar
-    slice, or a sweep of more than MAX_SWEEP_POINTS points.
+    slice (in every mode, even where the slices are unused), or a sweep of
+    more than MAX_SWEEP_POINTS points.
     """
     if grid_density < 2:
         raise ValueError("grid density must be at least 2")
-    if family is Family.QUASI_X_XBAR_Y and not full_3d:
-        xbar_slices = [Fraction(xbar) for xbar in xbar_slices]
-        negative = next((xbar for xbar in xbar_slices if xbar < 0), None)
-        if negative is not None:
-            raise ValueError(f"xbar slice {negative} is negative")
+    xbar_slices = [Fraction(xbar) for xbar in xbar_slices]
+    negative = next((xbar for xbar in xbar_slices if xbar < 0), None)
+    if negative is not None:
+        raise ValueError(f"xbar slice {negative} is negative")
     count = _grid_points(family, grid_density, xbar_slices, full_3d)
     if count > MAX_SWEEP_POINTS:
         raise ValueError(

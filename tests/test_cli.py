@@ -1,5 +1,6 @@
 """CLI contract: subcommands, formats, exit codes, deterministic output."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -142,6 +143,21 @@ def test_measures_invert_mismatch_exits_4(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["measures", "-i", path, "A", "a", "--invert"])
     assert result.exit_code == 4
     assert "mass recovery mismatch" in result.output
+
+
+MEASURES_DIGESTS = json.loads((DATA / "measures_digests.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", MEASURES_DIGESTS, ids=lambda c: c["name"])
+def test_measures_all_output_is_pinned(runner, case):
+    # `measures --all [--invert]` stdout, pinned byte for byte (SHA-256) in
+    # every format for the README evidence and one 10-element body.
+    path = str(DATA / case["document"])
+    args = ["measures", "-i", path, "--format", case["format"], *case["flags"], case["body"]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert len(result.stdout_bytes) == case["bytes"]
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == case["sha256"]
 
 
 def _wide_doc(size):
@@ -304,6 +320,28 @@ def test_sweep_negative_xbar_slice_exits_2_before_any_audit(runner, tmp_path, mo
         main,
         ["sweep", "quasi-x-xbar-y", "--grid", "12", "--xbar-slices", "0,-1/2", "-o", str(out)],
     )
+    assert result.exit_code == 2
+    assert "xbar slice -1/2 is negative" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["partition-xy", "--grid", "2", "--xbar-slices", "-1/2"],
+        ["quasi-x-xbar-y", "--grid", "2", "--full-3d", "--xbar-slices", "-1/2"],
+    ],
+    ids=["partition", "quasi-full-3d"],
+)
+def test_sweep_negative_xbar_slice_exits_2_where_slices_are_unused(runner, tmp_path, monkeypatch, args):
+    # Neither sweep reads the slices, yet a negative one is refused as in a
+    # per-slice quasi sweep, before any audit.
+    def no_audit(*args, **kwargs):
+        raise AssertionError("an audit ran for a negative xbar slice")
+
+    monkeypatch.setattr(sweeps, "audit", no_audit)
+    out = tmp_path / "f.csv"
+    result = runner.invoke(main, ["sweep", *args, "-o", str(out)])
     assert result.exit_code == 2
     assert "xbar slice -1/2 is negative" in result.stderr
     assert not out.exists()

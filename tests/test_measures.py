@@ -134,7 +134,7 @@ def test_mass_recovery_reports_offending_subset(abc):
     # Bump one belief value above its superset sums: recovery goes negative.
     bad = subset(abc, ["a", "b"])
     values[bad] = Fraction(9, 8)
-    broken = type(table)(table.frame, table.kind, values)
+    broken = MeasureTable.from_values(table.frame, table.kind, values)
     with pytest.raises(InversionError) as exc_info:
         mass_from_belief(broken)
     assert exc_info.value.subset is not None
@@ -146,7 +146,7 @@ def test_mass_recovery_names_lowest_negative_subset(abc):
     # Raising bel({a}) makes the masses of {a,b} (bits 3) and {a,c} (bits 5)
     # both -1/4; the lower bitmask is the one reported.
     values[subset(abc, ["a"])] = Fraction(3, 4)
-    broken = MeasureTable(abc, MeasureKind.BELIEF, values)
+    broken = MeasureTable.from_values(abc, MeasureKind.BELIEF, values)
     assert [s for s, m in reference_masses(broken).items() if m < 0] == [
         subset(abc, ["a", "b"]),
         subset(abc, ["a", "c"]),
@@ -165,7 +165,7 @@ def test_mass_recovery_rejects_float_values(abc, labels, value):
     values = dict(measure_table(body, MeasureKind.BELIEF).values)
     values[subset(abc, labels)] = value
     with pytest.raises(InversionError) as exc_info:
-        mass_from_belief(MeasureTable(abc, MeasureKind.BELIEF, values))
+        mass_from_belief(MeasureTable.from_values(abc, MeasureKind.BELIEF, values))
     assert exc_info.value.subset == subset(abc, labels)
 
 
@@ -209,7 +209,7 @@ def test_mass_from_belief_matches_submask_reference(body, data):
         # Perturb one value: the table may stop being a belief function.
         s = data.draw(st.sampled_from(inner))
         values[s] += data.draw(st.fractions(-1, 1, max_denominator=8))
-    table = MeasureTable(body.frame, MeasureKind.BELIEF, values)
+    table = MeasureTable.from_values(body.frame, MeasureKind.BELIEF, values)
     reference = reference_masses(table)
     negative = [(s, m) for s, m in reference.items() if m < 0]
     if negative:
@@ -223,6 +223,80 @@ def test_mass_from_belief_matches_submask_reference(body, data):
     else:
         recovered = mass_from_belief(table)
         assert recovered.focal == tuple((s, m) for s, m in reference.items() if m > 0)
+
+
+@settings(max_examples=200)
+@given(bodies(), st.sampled_from(list(MeasureKind)))
+def test_values_view_matches_point_queries_as_a_dict(body, kind):
+    point = belief if kind is MeasureKind.BELIEF else plausibility
+    expected = {s: point(body, s) for s in enumerate_subsets(body.frame)}
+    view = measure_table(body, kind).values
+    assert view == expected
+    assert list(view) == list(expected)
+    assert list(view.items()) == list(expected.items())
+    assert list(view.values()) == list(expected.values())
+    assert len(view) == len(expected) == 1 << body.frame.size
+    for s, value in expected.items():
+        assert s in view
+        assert view[s] == view.get(s) == value
+    # A subset of another frame, even one with the same bits, is not a key.
+    foreign = make_frame([*body.frame.elements, "z"])
+    for bits in (0, (1 << body.frame.size) - 1):
+        s = FocalSet(foreign, bits)
+        assert s not in view
+        assert view.get(s) is None
+        with pytest.raises(KeyError):
+            view[s]
+    with pytest.raises(TypeError):
+        view[body.frame.empty()] = Fraction(0)
+    with pytest.raises(TypeError):
+        del view[body.frame.empty()]
+
+
+@settings(max_examples=200)
+@given(bodies(), st.data())
+def test_dense_and_hand_built_tables_invert_alike(body, data):
+    dense = measure_table(body, MeasureKind.BELIEF)
+    values = dict(dense.values)
+    if data.draw(st.booleans()):
+        # Perturb one value, endpoints included: inversion may fail.  The
+        # dense table keeps a common denominator that is not the least one.
+        s = data.draw(st.sampled_from(list(values)))
+        values[s] += data.draw(st.fractions(-1, 1, max_denominator=8))
+        den = dense.den * 840
+        ints = tuple(int(v * den) for v in values.values())
+        dense = MeasureTable(body.frame, MeasureKind.BELIEF, den, ints)
+    hand_built = MeasureTable.from_values(body.frame, MeasureKind.BELIEF, values)
+    outcomes = []
+    for table in (dense, hand_built):
+        try:
+            outcomes.append(mass_from_belief(table))
+        except InversionError as exc:
+            outcomes.append((str(exc), exc.subset))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], tuple):
+        assert outcomes[0][1] is not None
+
+
+def test_hand_built_table_names_the_missing_subset(abc):
+    values = dict(measure_table(vacuous(abc), MeasureKind.BELIEF).values)
+    del values[subset(abc, ["a", "c"])]
+    with pytest.raises(InversionError) as exc_info:
+        MeasureTable.from_values(abc, MeasureKind.BELIEF, values)
+    assert str(exc_info.value) == "table has no value for {a,c}"
+    assert exc_info.value.subset == subset(abc, ["a", "c"])
+
+
+def test_hand_built_table_matches_the_dense_one():
+    frame = make_frame([f"e{i}" for i in range(6)])
+    body = make_body(
+        frame,
+        [(FocalSet(frame, 5), "1/6"), (FocalSet(frame, 18), "1/4"), (FocalSet(frame, 63), "7/12")],
+    )
+    for kind in MeasureKind:
+        dense = measure_table(body, kind)
+        assert MeasureTable.from_values(frame, kind, dense.values) == dense
+        assert dense.den == 12
 
 
 @settings(max_examples=200)

@@ -260,6 +260,20 @@ def test_sweep_refuses_a_negative_xbar_slice_before_any_audit(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "family, options",
+    [(Family.PARTITION_XY, {}), (Family.QUASI_X_XBAR_Y, {"full_3d": True})],
+    ids=["partition", "quasi-full-3d"],
+)
+def test_sweep_refuses_a_negative_xbar_slice_where_slices_are_unused(monkeypatch, family, options):
+    def no_audit(*args, **kwargs):
+        raise AssertionError("an audit ran for a negative xbar slice")
+
+    monkeypatch.setattr(sweeps, "audit", no_audit)
+    with pytest.raises(ValueError, match="xbar slice -1/2 is negative"):
+        sweep(family, 2, xbar_slices=[F(-1, 2)], **options)
+
+
+@pytest.mark.parametrize(
     "family, grid, options",
     [
         (Family.PARTITION_XY, 3, {}),
