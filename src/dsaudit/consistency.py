@@ -15,6 +15,13 @@ sets, never with the power set.  Simplex phase one runs once per system,
 when it is built; every target's minimum and maximum start from that
 feasible basis.  The tight interval per target is then compared with the
 [belief, plausibility] interval of the Dempster-combined body.
+
+P sums to 1 at every feasible point, so min P(S) = 1 - max P(complement)
+and max P(S) = 1 - min P(complement).  An audit takes its targets in
+ascending bitmask order: the whole frame gets [1, 1] with no LP, and a
+target whose complement came earlier gets [1 - upper, 1 - lower] of that
+target's interval.  So a feasible audit solves two LPs per remaining
+target, and an infeasible one none.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .frames import FocalSet, Frame, require_same_frame
 from .measures import belief, plausibility
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -214,8 +222,9 @@ def audit(
 
     DS intervals [belief, plausibility] come from the combined body, for every
     singleton and every combined focal element; probability bounds come from
-    the constraint system of the ORIGINAL bodies.  Raises TotalConflictError
-    if combination is impossible.
+    the constraint system of the ORIGINAL bodies, read off the complement's
+    interval where it was solved already (see the module docstring).  Raises
+    TotalConflictError if combination is impossible.
     """
     if len(bodies) < 2:
         raise ValueError("audit requires at least two bodies")
@@ -227,12 +236,21 @@ def audit(
 
     targets = {1 << i for i in range(frame.size)}
     targets.update(s.bits for s in combined.focal_sets())
+    full = (1 << frame.size) - 1
+    solved: dict[int, ProbabilityInterval] = {}
     findings: list[ElementFinding] = []
     for bits in sorted(targets):
         subset = FocalSet(frame, bits)
         ds_lower = belief(combined, subset)
         ds_upper = plausibility(combined, subset)
-        prob = probability_bounds(system, subset)
+        paired = solved.get(full ^ bits)
+        if system.feasible and bits == full:
+            prob = ProbabilityInterval(subset, _ONE, _ONE)
+        elif system.feasible and paired is not None:
+            assert paired.lower is not None and paired.upper is not None
+            prob = ProbabilityInterval(subset, 1 - paired.upper, 1 - paired.lower)
+        else:
+            prob = solved[bits] = probability_bounds(system, subset)
         findings.append(
             ElementFinding(
                 ds_lower, ds_upper, prob, _verdict(ds_lower, ds_upper, prob, combined_tag)

@@ -93,8 +93,17 @@ class FeasibleStart:
 
 
 def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row)
+    """The row divided by the gcd of its entries.
+
+    The gcd is folded one entry at a time and stops as soon as it is 1, so
+    no argument tuple as wide as the row is built.
+    """
+    g = 0
+    for v in row:
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return row
     return [v // g for v in row] if g > 1 else row
 
 
@@ -292,12 +301,17 @@ def minimize(
     if _run_simplex(rows, basis, cost) is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, None, None)
 
+    # The value is cost . x / scale, and only basic variables of nonzero
+    # cost add to it: it is summed as num / den in ints, with one Fraction.
     point = [Fraction(0)] * num_vars
+    num, den = 0, 1
     for row, b in zip(rows, basis):
         if b < num_vars:
             point[b] = Fraction(row[-1], row[b])
-    value = sum(c * x for c, x in zip(obj, point))
-    return LPSolution(LPStatus.OPTIMAL, value, tuple(point))
+            if cost[b]:
+                num = num * row[b] + cost[b] * row[-1] * den
+                den *= row[b]
+    return LPSolution(LPStatus.OPTIMAL, Fraction(num, den * scale), tuple(point))
 
 
 def maximize(

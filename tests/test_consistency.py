@@ -26,7 +26,7 @@ from dsaudit.frames import FocalSet, complement, enumerate_subsets
 from dsaudit.sweeps import zadeh_fixture
 from flow_oracle import two_body_bounds
 from lp_oracle import element_bounds_by_vertex_enumeration, two_sided_system
-from strategies import bodies, frames
+from strategies import bodies, exact_masses, frames
 
 F = Fraction
 
@@ -267,11 +267,65 @@ def test_infeasible_audit_runs_phase_one_once_and_no_solve(lp_calls):
     assert lp_calls == {"phase_one": 1}
 
 
-def test_feasible_audit_runs_phase_one_once(partition_bodies_pair, lp_calls):
-    report = audit(list(partition_bodies_pair))
-    assert report.feasible
-    assert lp_calls["phase_one"] == 1
-    assert lp_calls["minimize"] == 2 * len(report.findings)
+def test_feasible_audit_runs_phase_one_once(
+    partition_bodies_pair, quasi_bodies_pair, abc, lp_calls
+):
+    singletons_with_frame = (
+        make_body(abc, [(subset(abc, ["a"]), "1/2"), (abc.universe(), "1/2")]),
+        make_body(abc, [(subset(abc, ["b"]), "1/2"), (abc.universe(), "1/2")]),
+    )
+    # Two solves per target that is neither the frame nor the complement of
+    # an earlier target in ascending bitmask order.
+    for pair, targets, solves in [
+        # No target is the frame or a complement.
+        (partition_bodies_pair, ["{a}", "{b}", "{c}"], 6),
+        # quasi-x-xbar-y at (1/4, 1/2, 1/2): {c} is read off {a,b}.
+        (quasi_bodies_pair, ["{a}", "{b}", "{a,b}", "{c}"], 6),
+        # The frame is a combined focal set and costs no LP.
+        (singletons_with_frame, ["{a}", "{b}", "{c}", "{a,b,c}"], 6),
+    ]:
+        lp_calls.clear()
+        report = audit(list(pair))
+        assert report.feasible
+        assert [str(f.subset) for f in report.findings] == targets
+        assert lp_calls["phase_one"] == 1
+        assert lp_calls["minimize"] == solves
+
+
+@st.composite
+def audited_bodies(draw):
+    """2-3 bodies on 3-5 elements whose focal sets are often the whole
+    frame, so that the frame is often a combined focal set."""
+    frame = draw(frames(min_size=3, max_size=5))
+    full = (1 << frame.size) - 1
+    masks = st.integers(1, full) | st.just(full)
+    out = []
+    for _ in range(draw(st.integers(2, 3))):
+        bits = draw(st.lists(masks, min_size=1, max_size=3, unique=True))
+        masses = draw(exact_masses(len(bits)))
+        out.append(make_body(frame, [(FocalSet(frame, b), m) for b, m in zip(bits, masses)]))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(audited_bodies())
+def test_audit_bounds_equal_direct_solves(bodies_):
+    # The frame's [1, 1] and every interval read off a complement's solve
+    # must equal both LPs solved for that target itself.
+    try:
+        report = audit(bodies_)
+    except TotalConflictError:
+        event("total conflict")
+        return
+    full = (1 << report.system.frame.size) - 1
+    targets = {f.subset.bits for f in report.findings}
+    event("infeasible" if not report.feasible else "feasible")
+    if full in targets:
+        event("frame is a target")
+    if any(full ^ bits in targets for bits in targets if bits != full):
+        event("complement pair")
+    for f in report.findings:
+        assert f.prob == probability_bounds(report.system, f.subset)
 
 
 def test_twenty_element_audit_needs_no_power_set():
