@@ -16,7 +16,7 @@ from typing import NoReturn
 import click
 
 from .combine import TotalConflictError, combine_many
-from .consistency import ConsistencyReport, audit as run_audit
+from .consistency import ConsistencyReport, Verdict, audit as run_audit
 from .documents import DocumentError, EvidenceDocument, load_document
 from .evidence import BodyOfEvidence, EvidenceError, as_mass
 from .frames import FocalSet, Frame, FrameError, enumerate_subsets, subset
@@ -219,15 +219,19 @@ def cmd_audit(path: str, fmt: str, body_names: tuple[str, ...]) -> None:
     except TotalConflictError as exc:
         _fail(EXIT_TOTAL_CONFLICT, str(exc))
     _render_audit(report, fmt)
-    code = report.worst_exit_code()
-    if code:
-        sys.exit(code)
+    if not report.feasible:
+        sys.exit(EXIT_INFEASIBLE)
+    if any(f.verdict in (Verdict.VIOLATION, Verdict.DISJOINT_VIOLATION) for f in report.findings):
+        sys.exit(EXIT_INCONSISTENT)
 
 
 @main.command("sweep")
 @click.option(
     "--grid", "-n", "grid_density", type=int, default=12, show_default=True,
-    help=f"Grid steps per parameter; at most {MAX_SWEEP_POINTS} grid points in all.",
+    help=(
+        f"Grid steps per parameter; at most {MAX_SWEEP_POINTS} grid points in all,"
+        f" and fewer than {MAX_SWEEP_POINTS} steps."
+    ),
 )
 @click.option(
     "--xbar-slices",

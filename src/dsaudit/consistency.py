@@ -108,15 +108,6 @@ class ConsistencyReport:
     def feasible(self) -> bool:
         return self.system.feasible
 
-    def worst_exit_code(self) -> int:
-        """0 all consistent, 4 any violation, 5 infeasible system."""
-        if not self.feasible:
-            return 5
-        verdicts = {f.verdict for f in self.findings}
-        if Verdict.VIOLATION in verdicts or Verdict.DISJOINT_VIOLATION in verdicts:
-            return 4
-        return 0
-
 
 def build_constraints(
     bodies: Sequence[BodyOfEvidence], names: Sequence[str] | None = None

@@ -104,13 +104,6 @@ class BodyOfEvidence:
                 return m
         return Fraction(0)
 
-    def support(self) -> FocalSet:
-        """Union of all focal sets."""
-        bits = 0
-        for s, _ in self.focal:
-            bits |= s.bits
-        return FocalSet(self.frame, bits)
-
     def __str__(self) -> str:
         return "; ".join(f"{s}:{m}" for s, m in self.focal)
 

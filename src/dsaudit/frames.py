@@ -118,10 +118,6 @@ def require_same_frame(first: Frame, second: Frame) -> None:
         )
 
 
-def complement(s: FocalSet) -> FocalSet:
-    return FocalSet(s.frame, s.bits ^ (1 << s.frame.size) - 1)
-
-
 def enumerate_subsets(frame: Frame) -> Iterator[FocalSet]:
     """All 2**size subsets of the frame, in ascending bitmask order."""
     for bits in range(1 << frame.size):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -172,26 +171,10 @@ class SweepResult:
 
 
 # Every grid point is one audit, and `full_3d` makes the quasi family's point
-# count cubic in the grid density, so larger sweeps are refused up front.
+# count cubic in the grid density, so larger sweeps are refused up front.  A
+# density of this many steps or more is refused first: any point brings a row
+# of N+1.
 MAX_SWEEP_POINTS = 20_000
-
-
-def _grid_points(
-    family: Family, n: int, xbar_slices: Sequence[Fraction], full_3d: bool
-) -> int:
-    """How many points ``sweep`` audits, counted without building the grid."""
-    side = n + 1
-    if family is Family.PARTITION_XY:
-        return side * side
-    if full_3d:
-        # xbar = j/n and x = i/n with i + j <= n
-        return side * side * (side + 1) // 2
-    # x = i/n with i <= n * (1 - xbar); none when xbar > 1
-    return side * sum(max(0, math.floor(n * (1 - xbar)) + 1) for xbar in xbar_slices)
-
-
-def _grid(n: int) -> list[Fraction]:
-    return [Fraction(i, n) for i in range(n + 1)]
 
 
 def _evaluate_point(spec: FamilySpec) -> SweepPoint:
@@ -216,33 +199,46 @@ def sweep(
     """Audit every grid point i/N of the family's parameter space.
 
     The quasi family is swept per xbar slice (or over the full 3-D grid when
-    ``full_3d``); points violating x + xbar <= 1 are skipped.  Points are
-    visited in canonical grid order, so output is deterministic.  Raises
-    ValueError, before any audit, on a density below 2, a negative xbar
-    slice (in every mode, even where the slices are unused), or a sweep of
-    more than MAX_SWEEP_POINTS points.
+    ``full_3d``) at the x values with x + xbar <= 1.  Points are visited in
+    canonical grid order, so output is deterministic.  Raises ValueError,
+    before any audit, on a density below 2 or of MAX_SWEEP_POINTS or more
+    (checked first, so nothing is built for it), a negative xbar slice (in
+    every mode, even where the slices are unused), or a sweep of more than
+    MAX_SWEEP_POINTS points.
     """
     if grid_density < 2:
         raise ValueError("grid density must be at least 2")
+    if grid_density >= MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"grid density {grid_density} gives rows of {grid_density + 1} points;"
+            f" the limit is {MAX_SWEEP_POINTS}"
+        )
     xbar_slices = [Fraction(xbar) for xbar in xbar_slices]
     negative = next((xbar for xbar in xbar_slices if xbar < 0), None)
     if negative is not None:
         raise ValueError(f"xbar slice {negative} is negative")
-    count = _grid_points(family, grid_density, xbar_slices, full_3d)
+    n = grid_density
+    steps = [Fraction(i, n) for i in range(n + 1)]
+    # One row (xbar, k) per slice: x = i/N is admissible while i <= N(1 - xbar),
+    # so its x values are the first k steps.  The floor is taken in integers,
+    # which keeps the count cheap even for the N+1 slices of a full 3-D grid.
+    rows: list[tuple[Fraction | None, int]]
+    if family is Family.PARTITION_XY:
+        rows = [(None, n + 1)]
+    else:
+        rows = [
+            (xbar, max(0, n * (xbar.denominator - xbar.numerator) // xbar.denominator + 1))
+            for xbar in (steps if full_3d else xbar_slices)
+        ]
+    count = len(steps) * sum(k for _, k in rows)
     if count > MAX_SWEEP_POINTS:
         raise ValueError(
             f"the sweep has {count} grid points; the limit is {MAX_SWEEP_POINTS}"
         )
-    steps = _grid(grid_density)
-    if family is Family.PARTITION_XY:
-        slices: Sequence[Fraction | None] = [None]
-    else:
-        slices = steps if full_3d else xbar_slices
     points = [
         _evaluate_point(FamilySpec(family, x, xbar, y))
-        for xbar in slices
-        for x in steps
-        if xbar is None or x + xbar <= 1
+        for xbar, k in rows
+        for x in steps[:k]
         for y in steps
     ]
     return SweepResult(family, tuple(points))

@@ -33,7 +33,7 @@ from dsaudit import (
 from dsaudit.cli import main as cli_main
 from dsaudit.lp import Sense
 from dsaudit.measures import MeasureKind
-from dsaudit.frames import FocalSet, complement, enumerate_subsets
+from dsaudit.frames import FocalSet, enumerate_subsets
 from dsaudit.sweeps import quasi_balance_equation_holds, zadeh_fixture
 from lp_oracle import element_bounds_by_vertex_enumeration, two_sided_system
 from strategies import bodies, body_pairs, disjoint_support_pairs, partition_bodies
@@ -163,8 +163,9 @@ def test_criterion_6a_mass_belief_round_trip(body):
 @settings(max_examples=200, deadline=None)
 @given(bodies())
 def test_criterion_6b_duality(body):
+    full = body.frame.universe().bits
     for s in enumerate_subsets(body.frame):
-        assert plausibility(body, s) == 1 - belief(body, complement(s))
+        assert plausibility(body, s) == 1 - belief(body, FocalSet(body.frame, s.bits ^ full))
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,7 +184,7 @@ def test_criterion_6d_combination_properties(pair):
 
     a, b = pair
     kappa = conflict(a, b)
-    disjoint = (a.support().bits & b.support().bits) == 0
+    disjoint = all(s.bits & t.bits == 0 for s in a.focal_sets() for t in b.focal_sets())
     assert (kappa == 1) == disjoint
     if kappa == 1:
         with pytest.raises(TotalConflictError):

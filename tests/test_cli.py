@@ -349,7 +349,11 @@ def test_sweep_negative_xbar_slice_exits_2_where_slices_are_unused(runner, tmp_p
 
 @pytest.mark.parametrize(
     "args",
-    [["partition-xy", "--grid", "1000"], ["quasi-x-xbar-y", "--grid", "40", "--full-3d"]],
+    [
+        ["partition-xy", "--grid", "1000"],
+        ["quasi-x-xbar-y", "--grid", "40", "--full-3d"],
+        ["quasi-x-xbar-y", "--grid", "20000", "--xbar-slices", "2"],
+    ],
 )
 def test_sweep_over_point_limit_exits_2_before_any_audit(runner, tmp_path, monkeypatch, args):
     def no_audit(*args, **kwargs):

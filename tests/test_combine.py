@@ -187,7 +187,7 @@ def test_disjoint_supports_conflict_totally(pair):
 @given(body_pairs())
 def test_total_conflict_iff_disjoint_supports(pair):
     a, b = pair
-    disjoint = (a.support().bits & b.support().bits) == 0
+    disjoint = all(s.bits & t.bits == 0 for s in a.focal_sets() for t in b.focal_sets())
     assert (conflict(a, b) == 1) == disjoint
 
 

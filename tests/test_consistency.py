@@ -22,7 +22,7 @@ from dsaudit import (
     vacuous,
 )
 from dsaudit import lp
-from dsaudit.frames import FocalSet, complement, enumerate_subsets
+from dsaudit.frames import FocalSet, enumerate_subsets
 from dsaudit.sweeps import zadeh_fixture
 from flow_oracle import two_body_bounds
 from lp_oracle import element_bounds_by_vertex_enumeration, two_sided_system
@@ -115,7 +115,6 @@ def test_audit_partition_case_all_violations(partition_bodies_pair, abc):
         assert (f.ds_lower, f.ds_upper) == ds
         assert (f.prob.lower, f.prob.upper) == prob
         assert f.verdict is Verdict.VIOLATION
-    assert report.worst_exit_code() == 4
 
 
 def test_audit_quasi_case_disjoint_intervals(quasi_bodies_pair, abc):
@@ -128,7 +127,6 @@ def test_audit_quasi_case_disjoint_intervals(quasi_bodies_pair, abc):
     # the other singleton cells disagree too, but their intervals meet
     assert by_subset["{c}"].verdict is Verdict.VIOLATION
     assert by_subset["{a}"].verdict is Verdict.COMPATIBLE
-    assert report.worst_exit_code() == 4
 
 
 def test_audit_zero_conflict_family_point_matches(abc):
@@ -138,7 +136,6 @@ def test_audit_zero_conflict_family_point_matches(abc):
     report = audit([a, b])
     assert report.kappa == 0
     assert all(f.verdict is Verdict.EXACT_MATCH for f in report.findings)
-    assert report.worst_exit_code() == 0
 
 
 def test_audit_singleton_partition_with_vacuous_matches_exactly(abc):
@@ -152,7 +149,6 @@ def test_audit_singleton_partition_with_vacuous_matches_exactly(abc):
     )
     report = audit([body, vacuous(abc)])
     assert all(f.verdict is Verdict.EXACT_MATCH for f in report.findings)
-    assert report.worst_exit_code() == 0
 
 
 def test_audit_propagates_total_conflict():
@@ -179,7 +175,6 @@ def test_audit_infeasible_report(abc):
     report = audit([a, b])
     assert not report.feasible
     assert all(f.verdict is Verdict.INFEASIBLE for f in report.findings)
-    assert report.worst_exit_code() == 5
 
 
 @settings(max_examples=30, deadline=None)
@@ -200,7 +195,7 @@ def test_lower_and_upper_bounds_are_complementary(body):
     system = build_constraints([body])
     for s in enumerate_subsets(body.frame):
         lo = probability_bounds(system, s)
-        hi = probability_bounds(system, complement(s))
+        hi = probability_bounds(system, FocalSet(s.frame, s.bits ^ s.frame.universe().bits))
         assert lo.lower + hi.upper == 1
         assert lo.upper + hi.lower == 1
 
@@ -365,7 +360,6 @@ def test_twenty_element_audit_needs_no_power_set():
     for name, want in expected.items():
         f = by_subset[name]
         assert (f.ds_lower, f.ds_upper, f.prob.lower, f.prob.upper, f.verdict) == want
-    assert report.worst_exit_code() == 4
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,6 @@
 """Frame and bitmask-subset algebra."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dsaudit import (
     FRAME_SIZE_CAP,
@@ -18,8 +16,7 @@ from dsaudit import (
     probability_bounds,
     subset,
 )
-from dsaudit.frames import FocalSet, complement, enumerate_subsets
-from strategies import frames
+from dsaudit.frames import enumerate_subsets
 
 
 def test_make_frame_basic():
@@ -93,12 +90,6 @@ def test_every_entry_point_rejects_mixed_frames(call):
         call()
 
 
-def test_complement_subset_cardinality():
-    frame = make_frame(["a", "b", "c"])
-    assert complement(subset(frame, ["a"])) == subset(frame, ["b", "c"])
-    assert complement(frame.universe()) == frame.empty()
-
-
 def test_enumerate_subsets_counts():
     for size in (1, 2, 3):
         frame = make_frame([f"x{i}" for i in range(size)])
@@ -107,18 +98,3 @@ def test_enumerate_subsets_counts():
         assert len({s.bits for s in subsets}) == 2**size
         assert subsets[0] == frame.empty()
         assert subsets[-1] == frame.universe()
-
-
-@given(frames(), st.data())
-def test_set_algebra_properties(frame, data):
-    n = (1 << frame.size) - 1
-    s = FocalSet(frame, data.draw(st.integers(0, n)))
-    t = FocalSet(frame, data.draw(st.integers(0, n)))
-    assert complement(complement(s)) == s
-    # De Morgan
-    assert complement(FocalSet(frame, s.bits | t.bits)).bits == (
-        complement(s).bits & complement(t).bits
-    )
-    assert complement(FocalSet(frame, s.bits & t.bits)).bits == (
-        complement(s).bits | complement(t).bits
-    )

@@ -273,6 +273,17 @@ def test_sweep_refuses_a_negative_xbar_slice_where_slices_are_unused(monkeypatch
         sweep(family, 2, xbar_slices=[F(-1, 2)], **options)
 
 
+def test_sweep_refuses_a_density_at_the_point_limit_before_any_audit(monkeypatch):
+    # No x is admissible on the slice xbar = 2, so the sweep would have no
+    # point; the density alone is refused, before the grid is built.
+    def no_audit(*args, **kwargs):
+        raise AssertionError("an audit ran above the sweep point limit")
+
+    monkeypatch.setattr(sweeps, "audit", no_audit)
+    with pytest.raises(ValueError, match=f"the limit is {sweeps.MAX_SWEEP_POINTS}"):
+        sweep(Family.QUASI_X_XBAR_Y, sweeps.MAX_SWEEP_POINTS, xbar_slices=[2])
+
+
 @pytest.mark.parametrize(
     "family, grid, options",
     [
