@@ -9,6 +9,9 @@ error, 3 total conflict, 4 inconsistency detected (an audit violation, a
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import sys
 from fractions import Fraction
 from typing import NoReturn
@@ -85,19 +88,14 @@ def _emit(rows: list[list[str]], header: list[str], fmt: str, json_key: str) -> 
     if fmt == "table":
         click.echo(_table(rows, header))
     elif fmt == "csv":
-        import csv as _csv
-        import io
-
         buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         click.echo(buf.getvalue(), nl=False)
     else:
-        import json as _json
-
         payload = {json_key: [dict(zip(header, r)) for r in rows]}
-        click.echo(_json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload, indent=2))
 
 
 @click.group()
@@ -180,10 +178,10 @@ def cmd_measures(
     _emit(rows, ["subset", "belief", "plausibility"], fmt, "measures")
     if invert:
         recovered = mass_from_belief(bel)
-        if recovered == body:
-            click.echo("mass recovery from belief: OK (round-trip exact)")
-        else:
+        if recovered != body:
             _fail(EXIT_INCONSISTENT, f"mass recovery mismatch: {recovered}")
+        if fmt == "table":
+            click.echo("mass recovery from belief: OK (round-trip exact)")
 
 
 def _render_audit(report: ConsistencyReport, fmt: str) -> None:

@@ -14,11 +14,14 @@ out cycling, so the solver terminates on every input.  Degenerate and
 redundant constraints are tolerated; redundant rows left over from phase one
 are dropped.
 
-Phase one depends only on the constraints, so it is a value of its own:
-`phase_one` returns a `FeasibleStart` (or None when the system is
-infeasible), and `minimize`/`maximize` run phase two from it.  Callers that
-optimise several objectives over one system compute the start once and pass
-it to every solve.  When the pivot entry divides a row's entry in the pivot
+Phase one gives every constraint one row form, whatever its sense: an
+equality, with a slack column if it is an inequality, and its own
+artificial column, which starts in the basis.  It depends only on the
+constraints, so it is a value of its own: `phase_one` returns a
+`FeasibleStart` (or None when the system is infeasible), and
+`minimize`/`maximize` run phase two from it.  Callers that optimise several
+objectives over one system compute the start once and pass it to every
+solve.  When the pivot entry divides a row's entry in the pivot
 column, the update touches only the nonzero entries of the pivot row, since
 slack and artificial columns are mostly zeros; there is no revised-simplex
 machinery.
@@ -70,20 +73,18 @@ class LPSolution:
     point: tuple[Fraction, ...] | None
 
 
-_FLIP = {Sense.LE: Sense.GE, Sense.GE: Sense.LE, Sense.EQ: Sense.EQ}
-
-
 @dataclass(frozen=True)
 class FeasibleStart:
     """A feasible basis of one constraint system, as phase one leaves it.
 
     One integer tableau row per non-redundant constraint, over the variables
-    and the slacks (`num_cols` columns) followed by the right-hand side;
-    `basis[i]` is the column basic in row i.  Each row is a primitive `int`
-    vector, a positive multiple of the row a `Fraction` tableau would hold,
-    so its basic coefficient is positive but not always 1: the value of
-    column `basis[i]` is `Fraction(rows[i][-1], rows[i][basis[i]])`.  No
-    artificial column is left.
+    and one slack per inequality, in constraint order (`num_cols` columns),
+    followed by the right-hand side; `basis[i]` is the column basic in row
+    i.  Each row is a primitive `int` vector, a positive multiple of the row
+    a `Fraction` tableau would hold, so its basic coefficient is positive but
+    not always 1: the value of column `basis[i]` is
+    `Fraction(rows[i][-1], rows[i][basis[i]])`.  No artificial column is
+    left.
     """
 
     num_vars: int
@@ -195,73 +196,49 @@ def phase_one(
     It depends on the constraints only, so one start serves every objective
     minimized or maximized over the same system.
     """
-    # Each constraint, times the lcm of its denominators, as integer
-    # coefficients and rhs, negated if need be so that the rhs is >= 0.
-    normalized: list[tuple[list[int], Sense, int]] = []
-    for con in constraints:
+    # Row i is constraint i times the lcm of its denominators, with a slack
+    # of +scale for <= or -scale for >=, negated if its rhs is negative, and
+    # then artificial column art_start + i of +scale, basic at the start.  So
+    # the row is a positive multiple of the Fraction row with unit slack and
+    # artificial, and its rhs is >= 0.
+    art_start = num_vars + sum(con.sense is not Sense.EQ for con in constraints)
+    n_cols = art_start + len(constraints)
+    rows: list[list[int]] = []
+    slack_col = num_vars
+    for i, con in enumerate(constraints):
         if len(con.coeffs) != num_vars:
             raise ValueError(f"constraint width mismatch: {con}")
         values = [*con.coeffs, con.rhs]
         scale = lcm(*[v.denominator for v in values])
         ints = [v.numerator * (scale // v.denominator) for v in values]
-        sense = con.sense
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-            sense = _FLIP[sense]
-        normalized.append((ints, sense, scale))
-
-    n_slack = sum(1 for _, s, _ in normalized if s is not Sense.EQ)
-    n_art = sum(1 for _, s, _ in normalized if s is not Sense.LE)
-    art_start = num_vars + n_slack
-    n_cols = art_start + n_art
-
-    # A row's slack and artificial carry its scale, so the row is a positive
-    # multiple of the Fraction row with unit slack and artificial.
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    slack_col = num_vars
-    art_col = art_start
-    for ints, sense, scale in normalized:
-        row = [0] * (n_cols + 1)
-        row[:num_vars] = ints[:-1]
-        row[-1] = ints[-1]
-        if sense is Sense.LE:
-            row[slack_col] = scale
-            basis.append(slack_col)
+        row = ints[:-1] + [0] * (n_cols - num_vars) + ints[-1:]
+        if con.sense is not Sense.EQ:
+            row[slack_col] = scale if con.sense is Sense.LE else -scale
             slack_col += 1
-        elif sense is Sense.GE:
-            row[slack_col] = -scale
-            slack_col += 1
-            row[art_col] = scale
-            basis.append(art_col)
-            art_col += 1
-        else:
-            row[art_col] = scale
-            basis.append(art_col)
-            art_col += 1
+        if row[-1] < 0:
+            row = [-v for v in row]
+        row[art_start + i] = scale
         rows.append(row)
+    basis = list(range(art_start, n_cols))
 
-    if n_art:
-        cost1 = [0] * art_start + [1] * n_art
-        if _run_simplex(rows, basis, cost1) is not LPStatus.OPTIMAL:
-            raise AssertionError("phase one cannot be unbounded")
-        if any(rows[i][-1] for i, b in enumerate(basis) if b >= art_start):
-            return None
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        for i in reversed(range(len(rows))):
-            if basis[i] >= art_start:
-                pivot_col = next(
-                    (j for j in range(art_start) if rows[i][j] != 0), None
-                )
-                if pivot_col is None:
-                    del rows[i]
-                    del basis[i]
-                else:
-                    # A negative pivot entry: -row is the positive multiple
-                    # of the Fraction row divided by it.
-                    if rows[i][pivot_col] < 0:
-                        rows[i] = [-v for v in rows[i]]
-                    _pivot(rows, basis, i, pivot_col)
+    cost1 = [0] * art_start + [1] * len(rows)
+    if _run_simplex(rows, basis, cost1) is not LPStatus.OPTIMAL:
+        raise AssertionError("phase one cannot be unbounded")
+    if any(rows[i][-1] for i, b in enumerate(basis) if b >= art_start):
+        return None
+    # Drive leftover artificials out of the basis; drop redundant rows.
+    for i in reversed(range(len(rows))):
+        if basis[i] >= art_start:
+            pivot_col = next((j for j in range(art_start) if rows[i][j] != 0), None)
+            if pivot_col is None:
+                del rows[i]
+                del basis[i]
+            else:
+                # A negative pivot entry: -row is the positive multiple
+                # of the Fraction row divided by it.
+                if rows[i][pivot_col] < 0:
+                    rows[i] = [-v for v in rows[i]]
+                _pivot(rows, basis, i, pivot_col)
 
     return FeasibleStart(
         num_vars,

@@ -63,16 +63,11 @@ def family_frame():
 class FamilySpec:
     """A point in one of the parametric families; xbar is None for partition-xy."""
 
-    family: Family
     x: Fraction
     xbar: Fraction | None
     y: Fraction
 
     def __post_init__(self) -> None:
-        if (self.xbar is None) != (self.family is Family.PARTITION_XY):
-            raise ValueError(
-                "partition-xy takes parameters x and y; quasi-x-xbar-y takes x, xbar, and y"
-            )
         x, bc, y = self.x, self.bc_mass, self.y
         if x < 0 or bc < 0 or x + bc > 1 or not 0 <= y <= 1:
             raise ValueError(
@@ -86,11 +81,11 @@ class FamilySpec:
 
 
 def partition_spec(x: Fraction, y: Fraction) -> FamilySpec:
-    return FamilySpec(Family.PARTITION_XY, Fraction(x), None, Fraction(y))
+    return FamilySpec(Fraction(x), None, Fraction(y))
 
 
 def quasi_spec(x: Fraction, xbar: Fraction, y: Fraction) -> FamilySpec:
-    return FamilySpec(Family.QUASI_X_XBAR_Y, Fraction(x), Fraction(xbar), Fraction(y))
+    return FamilySpec(Fraction(x), Fraction(xbar), Fraction(y))
 
 
 def instantiate(spec: FamilySpec) -> tuple[BodyOfEvidence, BodyOfEvidence]:
@@ -236,7 +231,7 @@ def sweep(
             f"the sweep has {count} grid points; the limit is {MAX_SWEEP_POINTS}"
         )
     points = [
-        _evaluate_point(FamilySpec(family, x, xbar, y))
+        _evaluate_point(FamilySpec(x, xbar, y))
         for xbar, k in rows
         for x in steps[:k]
         for y in steps

@@ -134,6 +134,11 @@ def test_measures_all_and_invert(runner, tmp_path):
     assert result.exit_code == 0
     assert result.output.count("\n") >= 9  # 8 subsets + header
     assert "round-trip exact" in result.output
+    # With json the payload is all of stdout; the exit code carries the check.
+    args = ["measures", "-i", path, "--format", "json", "A", "--all", "--invert"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert len(json.loads(result.stdout)["measures"]) == 8
 
 
 def test_measures_invert_mismatch_exits_4(runner, tmp_path, monkeypatch):

@@ -79,6 +79,17 @@ def test_vacuous_body_contributes_no_constraints(abc):
     assert (interval.lower, interval.upper) == (0, 1)
 
 
+def test_bayesian_body_has_no_rows_and_pins_every_singleton(abc):
+    masses = {"a": F(1, 2), "b": F(1, 3), "c": F(1, 6)}
+    body = make_body(abc, [(subset(abc, [w]), m) for w, m in masses.items()])
+    system = build_constraints([body])
+    assert system.constraints == ()
+    assert system.start.rows == ()
+    for w, m in masses.items():
+        interval = probability_bounds(system, subset(abc, [w]))
+        assert (interval.lower, interval.upper) == (m, m)
+
+
 def test_contradictory_bodies_are_infeasible():
     frame = make_frame(["a", "b"])
     a = make_body(frame, [(subset(frame, ["a"]), 1)])

@@ -67,8 +67,14 @@ def _warm_equals_cold(solver, obj, cons, n, start):
 
 
 def test_unbounded_problem():
-    sol = maximize([F(1), F(0)], [c([0, 1], Sense.LE, 1)], 2)
-    assert sol.status is LPStatus.UNBOUNDED
+    # With one row and with none, phase one keeps every row, the positive
+    # objective is least at the origin, and x is unbounded above.
+    for cons in ([c([0, 1], Sense.LE, 1)], []):
+        start = phase_one(cons, 2)
+        assert len(start.rows) == len(cons)
+        sol = _warm_equals_cold(maximize, [F(1), F(0)], cons, 2, start)
+        assert sol.status is LPStatus.UNBOUNDED
+        assert _warm_equals_cold(minimize, [F(1), F(1)], cons, 2, start).value == 0
 
 
 def test_negative_rhs_is_normalized():

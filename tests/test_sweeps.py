@@ -22,7 +22,6 @@ from dsaudit import (
 from dsaudit import sweeps
 from dsaudit.evidence import StructureTag, classify
 from dsaudit.sweeps import (
-    FamilySpec,
     closed_form_masses,
     instantiate,
     partition_spec,
@@ -61,8 +60,6 @@ def test_spec_validation():
     invalid = [
         lambda: partition_spec(F(5, 4), F(1, 2)),
         lambda: quasi_spec(F(3, 4), F(1, 2), F(1, 2)),  # x + xbar > 1
-        lambda: FamilySpec(Family.PARTITION_XY, F(1, 4), F(3, 4), F(1, 2)),  # xbar given
-        lambda: FamilySpec(Family.QUASI_X_XBAR_Y, F(1, 4), None, F(1, 2)),  # xbar missing
         lambda: partition_spec(F(-1, 4), F(1, 2)),
         lambda: quasi_spec(F(-1, 4), F(1, 2), F(1, 2)),
         lambda: partition_spec(F(1, 4), F(-1, 2)),
