@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 # and a `Fraction` only for each value read.  `dsaudit measures` bounds its
 # tables separately.
 FRAME_SIZE_CAP = 24
+_RESERVED = frozenset(",{}")
 
 
 class FrameError(ValueError):
@@ -31,7 +32,8 @@ class FrameMismatchError(FrameError):
 
 @dataclass(frozen=True)
 class Frame:
-    """An ordered, finite set of distinct outcome labels."""
+    """An ordered set of at most ``FRAME_SIZE_CAP`` distinct outcome labels,
+    none of which contains ``,``, ``{`` or ``}``."""
 
     elements: tuple[str, ...]
     _index: dict[str, int] = field(
@@ -41,9 +43,17 @@ class Frame:
     def __post_init__(self) -> None:
         if not self.elements:
             raise FrameError("frame must contain at least one element")
+        if len(self.elements) > FRAME_SIZE_CAP:
+            raise FrameError(
+                f"frame of size {len(self.elements)} exceeds cap of {FRAME_SIZE_CAP}"
+            )
         for label in self.elements:
             if not isinstance(label, str) or not label:
                 raise FrameError(f"frame labels must be non-empty strings, got {label!r}")
+            # A subset prints as {a,b} and the CLI reads one as a,b, so a
+            # label with one of these characters would read as two subsets.
+            if not _RESERVED.isdisjoint(label):
+                raise FrameError(f"frame label {label!r} contains one of , {{ }}")
         if len(set(self.elements)) != len(self.elements):
             dupes = sorted({x for x in self.elements if self.elements.count(x) > 1})
             raise FrameError(f"duplicate frame labels: {', '.join(dupes)}")
@@ -93,13 +103,10 @@ class FocalSet:
 def make_frame(labels: Sequence[str]) -> Frame:
     """Build a frame with the given element ordering.
 
-    Raises FrameError on duplicates, empty input, or more than
-    ``FRAME_SIZE_CAP`` labels.
+    Raises FrameError on duplicates, empty input, more than
+    ``FRAME_SIZE_CAP`` labels, or a label containing ``,``, ``{`` or ``}``.
     """
-    labels = tuple(labels)
-    if len(labels) > FRAME_SIZE_CAP:
-        raise FrameError(f"frame of size {len(labels)} exceeds cap of {FRAME_SIZE_CAP}")
-    return Frame(labels)
+    return Frame(tuple(labels))
 
 
 def subset(frame: Frame, members: Sequence[str]) -> FocalSet:

@@ -2,13 +2,15 @@
 
 A small two-phase primal simplex with exact inputs, each an `int` or a
 `fractions.Fraction`, and exact `Fraction` results, whose tableau holds
-Python `int`s.  Every row is kept as a positive integer multiple of the row
-a `Fraction` tableau would hold.  This is fraction-free pivoting (Edmonds
-1967; Bareiss 1968) with gcd normalisation in place of exact division: a
-pivot replaces each row by p*row - row[c]*pivot_row, and the ratio test
-cross-multiplies.  Positive scales change no sign and no ratio, so every
+Python `int`s.  This is fraction-free pivoting (Edmonds 1967; Bareiss 1968)
+on one invariant: with M the integer system and B its basic columns, every
+row is d*(B^-1 M)_i for one scale d = |det B| shared by all rows.  A pivot
+on p replaces each other row by (p*row - row[c]*pivot_row) // d, and p
+becomes the scale.  The division is exact: d*B^-1 = adj B up to sign, so
+every entry before and after a pivot is an integer minor of M (Cramer's
+rule).  A positive common scale changes no sign and no ratio, so every
 pivot is the one the `Fraction` tableau would make, without its per-entry
-gcd and object construction.
+gcd and object construction; the ratio test cross-multiplies.
 Bland's rule is used for both the entering and leaving choices, which rules
 out cycling, so the solver terminates on every input.  Degenerate and
 redundant constraints are tolerated; redundant rows left over from phase one
@@ -16,15 +18,19 @@ are dropped.
 
 Phase one gives every constraint one row form, whatever its sense: an
 equality, with a slack column if it is an inequality, and its own
-artificial column, which starts in the basis.  It depends only on the
+artificial column, which starts in the basis, so the start is B = I and
+d = 1.  Each row's coefficients are scaled to ints by their own lcm and the
+right-hand sides are put over one common denominator, so a system whose
+coefficients are small ints keeps them: for the two-body allocation LP the
+matrix is totally unimodular and d stays 1.  Phase one depends only on the
 constraints, so it is a value of its own: `phase_one` returns a
 `FeasibleStart` (or None when the system is infeasible), and
 `minimize`/`maximize` run phase two from it.  Callers that optimise several
 objectives over one system compute the start once and pass it to every
-solve.  When the pivot entry divides a row's entry in the pivot
-column, the update touches only the nonzero entries of the pivot row, since
-slack and artificial columns are mostly zeros; there is no revised-simplex
-machinery.
+solve.  While the pivot entry equals the scale, the update touches only the
+rows with a nonzero in the pivot column, and in them only the nonzero
+entries of the pivot row, since slack and artificial columns are mostly
+zeros; there is no revised-simplex machinery.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 
@@ -80,97 +86,71 @@ class FeasibleStart:
     One integer tableau row per non-redundant constraint, over the variables
     and one slack per inequality, in constraint order (`num_cols` columns),
     followed by the right-hand side; `basis[i]` is the column basic in row
-    i.  Each row is a primitive `int` vector, a positive multiple of the row
-    a `Fraction` tableau would hold, so its basic coefficient is positive but
-    not always 1: the value of column `basis[i]` is
-    `Fraction(rows[i][-1], rows[i][basis[i]])`.  No artificial column is
-    left.
+    i.  The rows are d*B^-1 [M | den*b], where M x (sense) b is the system
+    with each row's coefficients scaled to ints by their own lcm, `den` is
+    the least common denominator of the scaled right-hand sides, B is the
+    basic columns of M and d = |det B|.  So the basic columns form d*I, and
+    the value of column `basis[i]` is `Fraction(rows[i][-1], d * den)`.
+    No artificial column is left.
     """
 
     num_vars: int
     num_cols: int
     rows: tuple[tuple[int, ...], ...]
     basis: tuple[int, ...]
+    den: int
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries.
+def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int, d: int) -> int:
+    """Pivot in place on p = rows[r][c] > 0 of rows at the common scale d;
+    returns p, the scale of every row after the pivot.
 
-    The gcd is folded one entry at a time and stops as soon as it is 1, so
-    no argument tuple as wide as the row is built.
+    Row i becomes (p*row_i - row_i[c]*row_r) // d.  That is p times the row
+    a Fraction tableau would hold after the pivot, and p is |det| of the new
+    basis, so by Cramer's rule every entry is an integer and the division is
+    exact.  While p == d, rows with row_i[c] == 0 keep their values, and the
+    others change only where the pivot row is nonzero.
     """
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return row
-    return [v // g for v in row] if g > 1 else row
-
-
-def _eliminate(
-    row: list[int], pivot_row: list[int], nonzero: list[tuple[int, int]], c: int
-) -> list[int]:
-    """A positive multiple of p*row - row[c]*pivot_row, p = pivot_row[c] > 0.
-
-    The result has a zero in column c, like the row Fraction elimination
-    would leave.  `nonzero` lists the pivot row's nonzero entries.  p and
-    row[c] are divided by their gcd first.  When p then is 1, the row keeps
-    its scale and only those entries change; otherwise the row's scale grows
-    by the factor p, so the result is divided by the gcd of its entries.
-    """
-    g = gcd(pivot_row[c], row[c])
-    p = pivot_row[c] // g
-    f = row[c] // g
-    if p == 1:
-        row = row[:]
-        for j, w in nonzero:
-            row[j] -= f * w
-        return row
-    return _primitive([p * v - f * w for v, w in zip(row, pivot_row)])
-
-
-def _pivot(
-    rows: list[list[int]], basis: list[int], r: int, c: int
-) -> list[tuple[int, int]]:
-    """Pivot in place on rows[r][c], which must be positive; returns the
-    pivot row's nonzero entries."""
     pivot_row = rows[r]
-    nonzero = [(j, w) for j, w in enumerate(pivot_row) if w]
-    for i, row in enumerate(rows):
-        if i != r and row[c]:
-            rows[i] = _eliminate(row, pivot_row, nonzero, c)
+    p = pivot_row[c]
+    if p == d:
+        nonzero = [(j, w) for j, w in enumerate(pivot_row) if w]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for j, w in nonzero:
+                    row[j] -= f * w // d
+    else:
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * v - f * w) // d for v, w in zip(row, pivot_row)]
     basis[r] = c
-    return nonzero
-
-
-def _reduced_costs(
-    rows: list[list[int]], basis: list[int], cost: list[int]
-) -> list[int]:
-    """A positive multiple of the row c_j - c_B . B^-1 A_j, rhs included."""
-    priced = [i for i, b in enumerate(basis) if cost[b]]
-    scale = lcm(*[rows[i][basis[i]] for i in priced])
-    reduced = [scale * v for v in cost] + [0]
-    for i in priced:
-        row = rows[i]
-        f = cost[basis[i]] * (scale // row[basis[i]])
-        reduced = [t - f * v for t, v in zip(reduced, row)]
-    return _primitive(reduced)
+    return p
 
 
 def _run_simplex(
-    rows: list[list[int]], basis: list[int], cost: list[int]
-) -> LPStatus:
-    """Minimize cost over the tableau in place. Bland's rule throughout.
+    rows: list[list[int]], basis: list[int], cost: list[int], d: int
+) -> tuple[LPStatus, list[int], int]:
+    """Minimize cost over the tableau at scale d in place, Bland's rule
+    throughout; returns the status, the reduced-cost row and the final scale.
 
-    Row i's ratio is rows[i][-1] / rows[i][entering] whatever the row's
-    scale, so ratios are compared by cross-multiplying.
+    The reduced costs d*(cost - cost_B B^-1 M), rhs included, are one more
+    row at scale d, which pivots with the others.  Row i's ratio is
+    rows[i][-1] / rows[i][entering], compared by cross-multiplying.
     """
-    reduced = _reduced_costs(rows, basis, cost)
+    reduced = [d * v for v in cost] + [0]
+    for row, b in zip(rows, basis):
+        if cost[b]:
+            reduced = [t - cost[b] * v for t, v in zip(reduced, row)]
+    rows.append(reduced)
     while True:
+        reduced = rows[-1]
         entering = next((j for j in range(len(cost)) if reduced[j] < 0), None)
         if entering is None:
-            return LPStatus.OPTIMAL
+            return LPStatus.OPTIMAL, rows.pop(), d
+        # The reduced row's own entry in the entering column is negative, so
+        # the ratio test never picks it.
         leaving = None
         for i, row in enumerate(rows):
             a = row[entering]
@@ -183,9 +163,8 @@ def _run_simplex(
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving, best_rhs, best_a = i, row[-1], a
         if leaving is None:
-            return LPStatus.UNBOUNDED
-        nonzero = _pivot(rows, basis, leaving, entering)
-        reduced = _eliminate(reduced, rows[leaving], nonzero, entering)
+            return LPStatus.UNBOUNDED, rows.pop(), d
+        d = _pivot(rows, basis, leaving, entering, d)
 
 
 def phase_one(
@@ -196,37 +175,48 @@ def phase_one(
     It depends on the constraints only, so one start serves every objective
     minimized or maximized over the same system.
     """
-    # Row i is constraint i times the lcm of its denominators, with a slack
-    # of +scale for <= or -scale for >=, negated if its rhs is negative, and
-    # then artificial column art_start + i of +scale, basic at the start.  So
-    # the row is a positive multiple of the Fraction row with unit slack and
-    # artificial, and its rhs is >= 0.
+    # Row i is constraint i's coefficients times their lcm scale_i, with a
+    # slack of +1 for <= or -1 for >=, and rhs den*scale_i*rhs_i, negated
+    # with the row if it is negative; then artificial column art_start + i
+    # of +1, basic at the start, so B = I and d = 1.  Artificial i costs
+    # lcm(scales)/scale_i: a positive multiple of the sum of the artificials
+    # of the Fraction rows with unit artificials, so Bland's rule pivots as
+    # it would on those.
     art_start = num_vars + sum(con.sense is not Sense.EQ for con in constraints)
     n_cols = art_start + len(constraints)
     rows: list[list[int]] = []
+    scales: list[int] = []
     slack_col = num_vars
-    for i, con in enumerate(constraints):
+    for con in constraints:
         if len(con.coeffs) != num_vars:
             raise ValueError(f"constraint width mismatch: {con}")
-        values = [*con.coeffs, con.rhs]
-        scale = lcm(*[v.denominator for v in values])
-        ints = [v.numerator * (scale // v.denominator) for v in values]
-        row = ints[:-1] + [0] * (n_cols - num_vars) + ints[-1:]
+        scale = lcm(*[v.denominator for v in con.coeffs])
+        row = [v.numerator * (scale // v.denominator) for v in con.coeffs]
+        row += [0] * (n_cols - num_vars)
         if con.sense is not Sense.EQ:
-            row[slack_col] = scale if con.sense is Sense.LE else -scale
+            row[slack_col] = 1 if con.sense is Sense.LE else -1
             slack_col += 1
-        if row[-1] < 0:
-            row = [-v for v in row]
-        row[art_start + i] = scale
         rows.append(row)
+        scales.append(scale)
+    rhs = [scale * con.rhs for scale, con in zip(scales, constraints)]
+    den = lcm(*[b.denominator for b in rhs])
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        row.append(b.numerator * (den // b.denominator))
+        if row[-1] < 0:
+            rows[i] = row = [-v for v in row]
+        row[art_start + i] = 1
     basis = list(range(art_start, n_cols))
 
-    cost1 = [0] * art_start + [1] * len(rows)
-    if _run_simplex(rows, basis, cost1) is not LPStatus.OPTIMAL:
+    weight = lcm(*scales)
+    cost1 = [0] * art_start + [weight // scale for scale in scales]
+    status, reduced, d = _run_simplex(rows, basis, cost1, 1)
+    if status is not LPStatus.OPTIMAL:
         raise AssertionError("phase one cannot be unbounded")
-    if any(rows[i][-1] for i, b in enumerate(basis) if b >= art_start):
+    if reduced[-1]:
         return None
-    # Drive leftover artificials out of the basis; drop redundant rows.
+    # Drive leftover artificials out of the basis; drop redundant rows.  A
+    # basic artificial's column is the unit vector of its row, so dropping
+    # the row and the column leaves |det B|, and d, as they were.
     for i in reversed(range(len(rows))):
         if basis[i] >= art_start:
             pivot_col = next((j for j in range(art_start) if rows[i][j] != 0), None)
@@ -234,17 +224,18 @@ def phase_one(
                 del rows[i]
                 del basis[i]
             else:
-                # A negative pivot entry: -row is the positive multiple
-                # of the Fraction row divided by it.
+                # A negative pivot entry: the pivot makes -row the new row
+                # at scale -rows[i][pivot_col], so it is negated first.
                 if rows[i][pivot_col] < 0:
                     rows[i] = [-v for v in rows[i]]
-                _pivot(rows, basis, i, pivot_col)
+                d = _pivot(rows, basis, i, pivot_col, d)
 
     return FeasibleStart(
         num_vars,
         art_start,
-        tuple(tuple(_primitive([*row[:art_start], row[-1]])) for row in rows),
+        tuple(tuple([*row[:art_start], row[-1]]) for row in rows),
         tuple(basis),
+        den,
     )
 
 
@@ -271,24 +262,22 @@ def minimize(
 
     rows = [list(row) for row in start.rows]
     basis = list(start.basis)
+    d = rows[0][basis[0]] if rows else 1
     # A positive multiple of the objective has the same minimizers.
     scale = lcm(*[c.denominator for c in obj])
     cost = [c.numerator * (scale // c.denominator) for c in obj]
     cost += [0] * (start.num_cols - num_vars)
-    if _run_simplex(rows, basis, cost) is LPStatus.UNBOUNDED:
+    status, reduced, d = _run_simplex(rows, basis, cost, d)
+    if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, None, None)
 
-    # The value is cost . x / scale, and only basic variables of nonzero
-    # cost add to it: it is summed as num / den in ints, with one Fraction.
+    # x_B is the rhs over d*den, and the reduced row's rhs is -d*den*cost.x.
     point = [Fraction(0)] * num_vars
-    num, den = 0, 1
     for row, b in zip(rows, basis):
         if b < num_vars:
-            point[b] = Fraction(row[-1], row[b])
-            if cost[b]:
-                num = num * row[b] + cost[b] * row[-1] * den
-                den *= row[b]
-    return LPSolution(LPStatus.OPTIMAL, Fraction(num, den * scale), tuple(point))
+            point[b] = Fraction(row[-1], d * start.den)
+    value = Fraction(-reduced[-1], d * start.den * scale)
+    return LPSolution(LPStatus.OPTIMAL, value, tuple(point))
 
 
 def maximize(

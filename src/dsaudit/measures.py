@@ -55,13 +55,23 @@ class MeasureTable:
 
     The value of subset S is ``Fraction(ints[S.bits], den)``.  Both ways of
     building a table keep ``den`` the least denominator that makes every
-    value an int, so equal tables have equal fields.
+    value an int, so equal tables have equal fields.  A table without one
+    int per subset, or with ``den`` below 1, raises InversionError.
     """
 
     frame: Frame
     kind: MeasureKind
     den: int
     ints: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.ints) != 1 << self.frame.size:
+            raise InversionError(
+                f"table has {len(self.ints)} values; a frame of size "
+                f"{self.frame.size} has {1 << self.frame.size} subsets"
+            )
+        if self.den < 1:
+            raise InversionError(f"table denominator must be at least 1, got {self.den}")
 
     @classmethod
     def from_values(

@@ -409,8 +409,10 @@ def test_audit_repeated_body_name_exits_2(runner, tmp_path):
         (PARTITION_DOC.replace('"1/4"', "1" * 5000).encode(), "a JSON integer has too many digits"),
         (b"[" * 200_000, "arrays or objects nested too deeply"),
         (PARTITION_DOC.replace('"1/4"', '"1/4 \u00e9"').encode("latin-1"), "not UTF-8 text"),
+        # {a,b} would print, and a,b would read, as a subset of two labels
+        (PARTITION_DOC.replace('"c"', '"a,b"').encode(), "label 'a,b' contains one of , { }"),
     ],
-    ids=["long-integer", "deep-nesting", "not-utf8"],
+    ids=["long-integer", "deep-nesting", "not-utf8", "comma-in-label"],
 )
 def test_malformed_document_exits_2(runner, tmp_path, content, message):
     path = tmp_path / "bad.json"

@@ -414,6 +414,11 @@ def wide_body_pairs(draw):
 @given(wide_body_pairs(), st.data())
 def test_two_body_bounds_match_the_min_cost_flow(pair, data):
     system = build_constraints(pair)
+    if system.feasible:
+        # Two-body allocation matrices are totally unimodular, so every basis
+        # has |det| 1 and phase one leaves the tableau at scale d = 1.
+        start = system.start
+        assert all(row[b] == 1 for row, b in zip(start.rows, start.basis))
     frame = system.frame
     targets = [1 << w for w in range(frame.size)]
     targets.append(data.draw(st.integers(1, (1 << frame.size) - 1)))

@@ -16,7 +16,7 @@ from dsaudit import (
     probability_bounds,
     subset,
 )
-from dsaudit.frames import enumerate_subsets
+from dsaudit.frames import Frame, enumerate_subsets
 
 
 def test_make_frame_basic():
@@ -42,6 +42,9 @@ def test_make_frame_rejects_empty():
 def test_make_frame_rejects_oversize():
     with pytest.raises(FrameError, match="cap"):
         make_frame([f"x{i}" for i in range(FRAME_SIZE_CAP + 1)])
+    # a Frame built directly obeys the same cap, before any table is built
+    with pytest.raises(FrameError, match="cap"):
+        Frame(tuple(f"e{i}" for i in range(30)))
     # the cap itself is allowed
     assert make_frame([f"x{i}" for i in range(FRAME_SIZE_CAP)]).size == FRAME_SIZE_CAP
 

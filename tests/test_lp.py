@@ -223,6 +223,11 @@ def test_simplex_matches_vertex_oracle_on_random_systems(system, data):
         assert lo.status is hi.status is LPStatus.INFEASIBLE
         return
     assert start is not None
+    # The basic columns are d*I for one scale d > 0 shared by every row.
+    d = start.rows[0][start.basis[0]] if start.rows else 1
+    assert d > 0
+    for i, b in enumerate(start.basis):
+        assert [row[b] for row in start.rows] == [d * (k == i) for k in range(len(start.rows))]
     assert (lo.value, hi.value) == oracle
     for sol in (lo, hi):
         assert all(con.satisfied_by(sol.point) for con in full)

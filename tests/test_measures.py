@@ -127,6 +127,16 @@ def test_mass_recovery_rejects_non_belief_table(abc):
         mass_from_belief(table)
 
 
+@pytest.mark.parametrize(
+    "den, ints, message",
+    [(1, (0, 1), "2 values"), (1, (0,) * 16, "16 values"), (0, (0,) * 8, "denominator")],
+)
+def test_table_of_wrong_shape_is_refused(abc, den, ints, message):
+    # Read as a 1-element frame's table, (0, 1) would invert to {a}:1.
+    with pytest.raises(InversionError, match=message):
+        mass_from_belief(MeasureTable(abc, MeasureKind.BELIEF, den, ints))
+
+
 def test_mass_recovery_reports_offending_subset(abc):
     body = make_body(abc, [(subset(abc, ["a"]), "1/2"), (subset(abc, ["b"]), "1/2")])
     table = measure_table(body, MeasureKind.BELIEF)
