@@ -143,7 +143,7 @@ def build_constraints(
                 continue
             coeffs = [0] * width
             coeffs[len(owners) : len(owners) + len(members)] = [1] * len(members)
-            rows.append(lp.LinearConstraint(tuple(coeffs), lp.Sense.EQ, mass, f"{name}:split:{s}"))
+            rows.append(lp.LinearConstraint(tuple(coeffs), mass, f"{name}:split:{s}"))
             owners.extend([(k, w) for w in members])
     for k in range(1, len(bodies)):
         for w in range(n - 1):
@@ -154,7 +154,6 @@ def build_constraints(
             rows.append(
                 lp.LinearConstraint(
                     tuple(coeffs),
-                    lp.Sense.EQ,
                     fixed[0][w] - fixed[k][w],
                     f"{names[k]}:marginal:{frame.elements[w]}",
                 )

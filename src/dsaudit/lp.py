@@ -1,7 +1,8 @@
 """Exact linear programming over rationals.
 
-A small two-phase primal simplex with exact inputs, each an `int` or a
-`fractions.Fraction`, and exact `Fraction` results, whose tableau holds
+One problem form: minimize c.x subject to A x = b and x >= 0, every row an
+equality.  A small two-phase primal simplex with exact inputs, each an `int`
+or a `fractions.Fraction`, and exact `Fraction` results, whose tableau holds
 Python `int`s.  This is fraction-free pivoting (Edmonds 1967; Bareiss 1968)
 on one invariant: with M the integer system and B its basic columns, every
 row is d*(B^-1 M)_i for one scale d = |det B| shared by all rows.  A pivot
@@ -16,20 +17,18 @@ out cycling, so the solver terminates on every input.  Degenerate and
 redundant constraints are tolerated; redundant rows left over from phase one
 are dropped.
 
-Phase one gives every constraint one row form, whatever its sense: an
-equality, with a slack column if it is an inequality, and its own
-artificial column, which starts in the basis, so the start is B = I and
-d = 1.  Each row's coefficients are scaled to ints by their own lcm and the
-right-hand sides are put over one common denominator, so a system whose
-coefficients are small ints keeps them: for the two-body allocation LP the
-matrix is totally unimodular and d stays 1.  Phase one depends only on the
-constraints, so it is a value of its own: `phase_one` returns a
-`FeasibleStart` (or None when the system is infeasible), and
-`minimize`/`maximize` run phase two from it.  Callers that optimise several
-objectives over one system compute the start once and pass it to every
-solve.  While the pivot entry equals the scale, the update touches only the
-rows with a nonzero in the pivot column, and in them only the nonzero
-entries of the pivot row, since slack and artificial columns are mostly
+Phase one gives every equality row its own artificial column, which starts
+in the basis, so the start is B = I and d = 1.  Each row's coefficients are
+scaled to ints by their own lcm and the right-hand sides are put over one
+common denominator, so a system whose coefficients are small ints keeps
+them: for the two-body allocation LP the matrix is totally unimodular and d
+stays 1.  Phase one depends only on the constraints, so it is a value of its
+own: `phase_one` returns a `FeasibleStart` (or None when the system is
+infeasible), and `minimize`/`maximize` run phase two from it.  Callers that
+optimise several objectives over one system compute the start once and pass
+it to every solve.  While the pivot entry equals the scale, the update
+touches only the rows with a nonzero in the pivot column, and in them only
+the nonzero entries of the pivot row, since artificial columns are mostly
 zeros; there is no revised-simplex machinery.
 """
 
@@ -39,12 +38,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 
 class Sense(Enum):
-    LE = "<="
-    GE = ">="
     EQ = "=="
 
 
@@ -56,20 +53,13 @@ class LPStatus(Enum):
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """coeffs . x  (sense)  rhs, with an optional provenance tag."""
+    """coeffs . x == rhs, with an optional provenance tag."""
 
     coeffs: tuple[int | Fraction, ...]
-    sense: Sense
     rhs: int | Fraction
     tag: str = ""
-
-    def satisfied_by(self, point: Sequence[Fraction]) -> bool:
-        lhs = sum(c * x for c, x in zip(self.coeffs, point))
-        if self.sense is Sense.LE:
-            return lhs <= self.rhs
-        if self.sense is Sense.GE:
-            return lhs >= self.rhs
-        return lhs == self.rhs
+    # A class constant, not a field; bench/dsbench/trace.py::_tableau_cols reads it.
+    sense: ClassVar[Sense] = Sense.EQ
 
 
 @dataclass(frozen=True)
@@ -83,19 +73,17 @@ class LPSolution:
 class FeasibleStart:
     """A feasible basis of one constraint system, as phase one leaves it.
 
-    One integer tableau row per non-redundant constraint, over the variables
-    and one slack per inequality, in constraint order (`num_cols` columns),
-    followed by the right-hand side; `basis[i]` is the column basic in row
-    i.  The rows are d*B^-1 [M | den*b], where M x (sense) b is the system
-    with each row's coefficients scaled to ints by their own lcm, `den` is
-    the least common denominator of the scaled right-hand sides, B is the
-    basic columns of M and d = |det B|.  So the basic columns form d*I, and
-    the value of column `basis[i]` is `Fraction(rows[i][-1], d * den)`.
-    No artificial column is left.
+    One integer tableau row per non-redundant constraint, over the
+    `num_vars` variables and followed by the right-hand side; `basis[i]` is
+    the variable basic in row i.  The rows are d*B^-1 [M | den*b], where
+    M x = b is the system with each row's coefficients scaled to ints by
+    their own lcm, `den` is the least common denominator of the scaled
+    right-hand sides, B is the basic columns of M and d = |det B|.  So the
+    basic columns form d*I, and the value of variable `basis[i]` is
+    `Fraction(rows[i][-1], d * den)`.  No artificial column is left.
     """
 
     num_vars: int
-    num_cols: int
     rows: tuple[tuple[int, ...], ...]
     basis: tuple[int, ...]
     den: int
@@ -175,28 +163,20 @@ def phase_one(
     It depends on the constraints only, so one start serves every objective
     minimized or maximized over the same system.
     """
-    # Row i is constraint i's coefficients times their lcm scale_i, with a
-    # slack of +1 for <= or -1 for >=, and rhs den*scale_i*rhs_i, negated
-    # with the row if it is negative; then artificial column art_start + i
-    # of +1, basic at the start, so B = I and d = 1.  Artificial i costs
-    # lcm(scales)/scale_i: a positive multiple of the sum of the artificials
-    # of the Fraction rows with unit artificials, so Bland's rule pivots as
-    # it would on those.
-    art_start = num_vars + sum(con.sense is not Sense.EQ for con in constraints)
-    n_cols = art_start + len(constraints)
+    # Row i is constraint i's coefficients times their lcm scale_i and rhs
+    # den*scale_i*rhs_i, negated with the row if it is negative; then
+    # artificial column num_vars + i of +1, basic at the start, so B = I and
+    # d = 1.  Artificial i costs lcm(scales)/scale_i: a positive multiple of
+    # the sum of the artificials of the Fraction rows with unit artificials,
+    # so Bland's rule pivots as it would on those.
     rows: list[list[int]] = []
     scales: list[int] = []
-    slack_col = num_vars
     for con in constraints:
         if len(con.coeffs) != num_vars:
             raise ValueError(f"constraint width mismatch: {con}")
         scale = lcm(*[v.denominator for v in con.coeffs])
         row = [v.numerator * (scale // v.denominator) for v in con.coeffs]
-        row += [0] * (n_cols - num_vars)
-        if con.sense is not Sense.EQ:
-            row[slack_col] = 1 if con.sense is Sense.LE else -1
-            slack_col += 1
-        rows.append(row)
+        rows.append(row + [0] * len(constraints))
         scales.append(scale)
     rhs = [scale * con.rhs for scale, con in zip(scales, constraints)]
     den = lcm(*[b.denominator for b in rhs])
@@ -204,11 +184,11 @@ def phase_one(
         row.append(b.numerator * (den // b.denominator))
         if row[-1] < 0:
             rows[i] = row = [-v for v in row]
-        row[art_start + i] = 1
-    basis = list(range(art_start, n_cols))
+        row[num_vars + i] = 1
+    basis = list(range(num_vars, num_vars + len(rows)))
 
     weight = lcm(*scales)
-    cost1 = [0] * art_start + [weight // scale for scale in scales]
+    cost1 = [0] * num_vars + [weight // scale for scale in scales]
     status, reduced, d = _run_simplex(rows, basis, cost1, 1)
     if status is not LPStatus.OPTIMAL:
         raise AssertionError("phase one cannot be unbounded")
@@ -218,8 +198,8 @@ def phase_one(
     # basic artificial's column is the unit vector of its row, so dropping
     # the row and the column leaves |det B|, and d, as they were.
     for i in reversed(range(len(rows))):
-        if basis[i] >= art_start:
-            pivot_col = next((j for j in range(art_start) if rows[i][j] != 0), None)
+        if basis[i] >= num_vars:
+            pivot_col = next((j for j in range(num_vars) if rows[i][j] != 0), None)
             if pivot_col is None:
                 del rows[i]
                 del basis[i]
@@ -232,8 +212,7 @@ def phase_one(
 
     return FeasibleStart(
         num_vars,
-        art_start,
-        tuple(tuple([*row[:art_start], row[-1]]) for row in rows),
+        tuple(tuple([*row[:num_vars], row[-1]]) for row in rows),
         tuple(basis),
         den,
     )
@@ -266,7 +245,6 @@ def minimize(
     # A positive multiple of the objective has the same minimizers.
     scale = lcm(*[c.denominator for c in obj])
     cost = [c.numerator * (scale // c.denominator) for c in obj]
-    cost += [0] * (start.num_cols - num_vars)
     status, reduced, d = _run_simplex(rows, basis, cost, d)
     if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, None, None)

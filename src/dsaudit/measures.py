@@ -55,8 +55,11 @@ class MeasureTable:
 
     The value of subset S is ``Fraction(ints[S.bits], den)``.  Both ways of
     building a table keep ``den`` the least denominator that makes every
-    value an int, so equal tables have equal fields.  A table without one
-    int per subset, or with ``den`` below 1, raises InversionError.
+    value an int, so equal tables have equal fields.  A table whose
+    ``kind`` is not a MeasureKind, without one value per subset, or with
+    ``den`` below 1 raises InversionError.  Only ``from_values`` checks that
+    each value is exact, at O(2^n) per table, so a direct construction must
+    pass ints.
     """
 
     frame: Frame
@@ -65,6 +68,8 @@ class MeasureTable:
     ints: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, MeasureKind):
+            raise InversionError(f"table kind must be a MeasureKind, got {self.kind!r}")
         if len(self.ints) != 1 << self.frame.size:
             raise InversionError(
                 f"table has {len(self.ints)} values; a frame of size "

@@ -31,7 +31,6 @@ from dsaudit import (
     vacuous,
 )
 from dsaudit.cli import main as cli_main
-from dsaudit.lp import Sense
 from dsaudit.measures import MeasureKind
 from dsaudit.frames import FocalSet, enumerate_subsets
 from dsaudit.sweeps import quasi_balance_equation_holds, zadeh_fixture
@@ -240,7 +239,7 @@ def test_criterion_7_lp_oracle_equivalence():
         system = build_constraints(bodies_)
         # The belief rows alone state the polytope (the plausibility row of S
         # is the belief row of its complement) and keep the enumeration small.
-        rows = [c for c in two_sided_system(bodies_) if c.sense is not Sense.LE]
+        rows = [c for c in two_sided_system(bodies_) if c.sense != "<="]
         oracle = element_bounds_by_vertex_enumeration(rows, 3)
         for i, s in enumerate(singletons):
             interval = probability_bounds(system, s)

@@ -1,7 +1,8 @@
 """The traced benchmark runs against the current code and reports every metric.
 
 The tracer reads internals (`build_constraints(...).constraints`, the rows
-passed to `lp.minimize`, `LPSolution.point`), so a refactor can break
+passed to `lp.minimize` and their `LinearConstraint.sense.name` and `.rhs`,
+`LPSolution.point`), so a refactor can break
 `bench/run.py --trace 1` without any unit test noticing.
 """
 

@@ -1,4 +1,9 @@
-"""Exact simplex solver: known optima, infeasibility, degeneracy, oracle."""
+"""Exact simplex solver: known optima, infeasibility, degeneracy, oracle.
+
+The solver takes equality rows only; every system here is written as the
+vertex oracle's rows, of any sense, and solved through `slack_form`, which
+adds one slack per inequality and drops the slacks from the point.
+"""
 
 from fractions import Fraction
 
@@ -6,26 +11,21 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dsaudit.lp import (
-    LinearConstraint,
-    LPStatus,
-    Sense,
-    maximize,
-    minimize,
-    phase_one,
-)
-from lp_oracle import bounds_by_vertex_enumeration
+from dsaudit.lp import LPStatus
+from lp_oracle import SENSES, Row, bounds_by_vertex_enumeration
+from slack_form import maximize, minimize, phase_one
 
 F = Fraction
+LE, GE, EQ = "<=", ">=", "=="
 
 
 def c(coeffs, sense, rhs):
-    return LinearConstraint(tuple(F(x) for x in coeffs), sense, F(rhs))
+    return Row(tuple(F(x) for x in coeffs), sense, F(rhs))
 
 
 def test_textbook_maximum():
     # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6
-    cons = [c([1, 1], Sense.LE, 4), c([1, 3], Sense.LE, 6)]
+    cons = [c([1, 1], LE, 4), c([1, 3], LE, 6)]
     sol = maximize([F(3), F(2)], cons, 2)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.value == 12
@@ -34,7 +34,7 @@ def test_textbook_maximum():
 
 def test_minimum_with_lower_bounds():
     # min 2x + 3y s.t. x + y >= 2
-    cons = [c([1, 1], Sense.GE, 2)]
+    cons = [c([1, 1], GE, 2)]
     sol = minimize([F(2), F(3)], cons, 2)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.value == 4
@@ -42,22 +42,22 @@ def test_minimum_with_lower_bounds():
 
 
 def test_equality_constraint_forces_point():
-    cons = [c([1, 1], Sense.EQ, 1), c([1, 0], Sense.EQ, "1/3")]
+    cons = [c([1, 1], EQ, 1), c([1, 0], EQ, "1/3")]
     lo = minimize([F(0), F(1)], cons, 2)
     hi = maximize([F(0), F(1)], cons, 2)
     assert lo.value == hi.value == F(2, 3)
 
 
 def test_infeasible_system():
-    cons = [c([1, 1], Sense.EQ, 1), c([1, 0], Sense.GE, 2)]
+    cons = [c([1, 1], EQ, 1), c([1, 0], GE, 2)]
     assert minimize([F(1), F(0)], cons, 2).status is LPStatus.INFEASIBLE
     assert phase_one(cons, 2) is None
 
 
 def test_start_must_match_num_vars():
-    cons = [c([1, 1], Sense.EQ, 1)]
+    cons = [c([1, 1], EQ, 1)]
     with pytest.raises(ValueError):
-        minimize([F(1)], [c([1], Sense.EQ, 1)], 1, phase_one(cons, 2))
+        minimize([F(1)], [c([1], EQ, 1)], 1, phase_one(cons, 2))
 
 
 def _warm_equals_cold(solver, obj, cons, n, start):
@@ -69,7 +69,7 @@ def _warm_equals_cold(solver, obj, cons, n, start):
 def test_unbounded_problem():
     # With one row and with none, phase one keeps every row, the positive
     # objective is least at the origin, and x is unbounded above.
-    for cons in ([c([0, 1], Sense.LE, 1)], []):
+    for cons in ([c([0, 1], LE, 1)], []):
         start = phase_one(cons, 2)
         assert len(start.rows) == len(cons)
         sol = _warm_equals_cold(maximize, [F(1), F(0)], cons, 2, start)
@@ -79,18 +79,18 @@ def test_unbounded_problem():
 
 def test_negative_rhs_is_normalized():
     # -x <= -2 is x >= 2
-    cons = [c([-1], Sense.LE, -2), c([1], Sense.LE, 5)]
+    cons = [c([-1], LE, -2), c([1], LE, 5)]
     sol = minimize([F(1)], cons, 1)
     assert sol.value == 2
 
 
 def test_redundant_and_duplicate_constraints_tolerated():
     cons = [
-        c([1, 1], Sense.EQ, 1),
-        c([1, 1], Sense.EQ, 1),
-        c([1, 1], Sense.LE, 1),
-        c([1, 0], Sense.LE, 1),
-        c([1, 0], Sense.GE, 0),
+        c([1, 1], EQ, 1),
+        c([1, 1], EQ, 1),
+        c([1, 1], LE, 1),
+        c([1, 0], LE, 1),
+        c([1, 0], GE, 0),
     ]
     sol = maximize([F(1), F(0)], cons, 2)
     assert sol.value == 1
@@ -108,9 +108,9 @@ def test_redundant_and_duplicate_constraints_tolerated():
 def test_degenerate_vertex():
     # three boundaries through one point; Bland's rule must not cycle
     cons = [
-        c([1, 1], Sense.LE, 1),
-        c([1, 0], Sense.LE, 1),
-        c([2, 1], Sense.LE, 2),
+        c([1, 1], LE, 1),
+        c([1, 0], LE, 1),
+        c([2, 1], LE, 2),
     ]
     sol = maximize([F(1), F(1)], cons, 2)
     assert sol.status is LPStatus.OPTIMAL
@@ -125,40 +125,40 @@ def test_degenerate_vertex():
 
 
 def test_exact_fractions_survive():
-    cons = [c([1, 1, 1], Sense.EQ, 1), c(["1/7", 0, 0], Sense.GE, "1/49")]
+    cons = [c([1, 1, 1], EQ, 1), c(["1/7", 0, 0], GE, "1/49")]
     sol = minimize([F(1), F(0), F(0)], cons, 3)
     assert sol.value == F(1, 7)
 
 
 def test_solution_point_satisfies_all_constraints():
     cons = [
-        c([1, 1, 1], Sense.EQ, 1),
-        c([1, 0, 0], Sense.GE, "1/4"),
-        c([1, 1, 0], Sense.LE, "1/2"),
+        c([1, 1, 1], EQ, 1),
+        c([1, 0, 0], GE, "1/4"),
+        c([1, 1, 0], LE, "1/2"),
     ]
     for solver, obj in ((minimize, [F(0), F(1), F(0)]), (maximize, [F(0), F(1), F(0)])):
         sol = solver(obj, cons, 3)
         assert sol.status is LPStatus.OPTIMAL
         assert sol.point is not None
-        assert all(con.satisfied_by(sol.point) for con in cons)
+        assert all(con.holds_at(sol.point) for con in cons)
         assert sum(o * x for o, x in zip(obj, sol.point)) == sol.value
 
 
 def test_agrees_with_vertex_oracle_on_fixed_cases():
     systems = [
-        [c([1, 1], Sense.EQ, 1)],
-        [c([1, 1], Sense.EQ, 1), c([1, 0], Sense.LE, "2/3")],
+        [c([1, 1], EQ, 1)],
+        [c([1, 1], EQ, 1), c([1, 0], LE, "2/3")],
         [
-            c([1, 1, 1], Sense.EQ, 1),
-            c([1, 0, 0], Sense.GE, "1/4"),
-            c([0, 1, 1], Sense.LE, "3/4"),
-            c([1, 1, 0], Sense.EQ, "1/2"),
+            c([1, 1, 1], EQ, 1),
+            c([1, 0, 0], GE, "1/4"),
+            c([0, 1, 1], LE, "3/4"),
+            c([1, 1, 0], EQ, "1/2"),
         ],
     ]
     for cons in systems:
         n = len(cons[0].coeffs)
         nonneg = [
-            c([1 if j == i else 0 for j in range(n)], Sense.GE, 0) for i in range(n)
+            c([1 if j == i else 0 for j in range(n)], GE, 0) for i in range(n)
         ]
         full = cons + nonneg
         start = phase_one(full, n)
@@ -196,14 +196,14 @@ def _systems(draw):
         coeffs = draw(st.tuples(*[_rationals] * n))
         through_x0 = sum(a * x for a, x in zip(coeffs, x0))
         rhs = draw(st.just(through_x0) | _rationals)
-        cons.append(LinearConstraint(coeffs, draw(st.sampled_from(Sense)), rhs))
+        cons.append(Row(coeffs, draw(st.sampled_from(SENSES)), rhs))
     cons += draw(st.lists(st.sampled_from(cons), max_size=2))
     for i in range(n):
         u = x0[i] + draw(_positive)
         if draw(st.booleans()):
-            cons.append(LinearConstraint(_unit(n, i), Sense.LE, u))
+            cons.append(Row(_unit(n, i), LE, u))
         else:
-            cons.append(LinearConstraint(tuple(-v for v in _unit(n, i)), Sense.GE, -u))
+            cons.append(Row(tuple(-v for v in _unit(n, i)), GE, -u))
     return draw(st.permutations(cons)), n
 
 
@@ -212,7 +212,7 @@ def _systems(draw):
 def test_simplex_matches_vertex_oracle_on_random_systems(system, data):
     cons, n = system
     obj = data.draw(st.lists(_rationals, min_size=n, max_size=n))
-    full = cons + [LinearConstraint(_unit(n, i), Sense.GE, F(0)) for i in range(n)]
+    full = cons + [Row(_unit(n, i), GE, F(0)) for i in range(n)]
     oracle = bounds_by_vertex_enumeration(full, n, tuple(obj))
     start = phase_one(cons, n)
     lo = _warm_equals_cold(minimize, obj, cons, n, start)
@@ -230,5 +230,5 @@ def test_simplex_matches_vertex_oracle_on_random_systems(system, data):
         assert [row[b] for row in start.rows] == [d * (k == i) for k in range(len(start.rows))]
     assert (lo.value, hi.value) == oracle
     for sol in (lo, hi):
-        assert all(con.satisfied_by(sol.point) for con in full)
+        assert all(con.holds_at(sol.point) for con in full)
         assert sum(o * x for o, x in zip(obj, sol.point)) == sol.value

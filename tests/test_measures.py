@@ -128,13 +128,18 @@ def test_mass_recovery_rejects_non_belief_table(abc):
 
 
 @pytest.mark.parametrize(
-    "den, ints, message",
-    [(1, (0, 1), "2 values"), (1, (0,) * 16, "16 values"), (0, (0,) * 8, "denominator")],
+    "kind, den, ints, message",
+    [
+        (MeasureKind.BELIEF, 1, (0, 1), "2 values"),
+        (MeasureKind.BELIEF, 1, (0,) * 16, "16 values"),
+        (MeasureKind.BELIEF, 0, (0,) * 8, "denominator"),
+        ("Belief", 1, (0,) * 7 + (1,), "MeasureKind"),
+    ],
 )
-def test_table_of_wrong_shape_is_refused(abc, den, ints, message):
+def test_table_of_wrong_shape_is_refused(abc, kind, den, ints, message):
     # Read as a 1-element frame's table, (0, 1) would invert to {a}:1.
     with pytest.raises(InversionError, match=message):
-        mass_from_belief(MeasureTable(abc, MeasureKind.BELIEF, den, ints))
+        mass_from_belief(MeasureTable(abc, kind, den, ints))
 
 
 def test_mass_recovery_reports_offending_subset(abc):

@@ -1,6 +1,7 @@
 """Parametric families, closed forms, grid sweeps, and the classic fixtures."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -13,8 +14,10 @@ from dsaudit import (
     Family,
     TotalConflictError,
     Verdict,
+    build_constraints,
     combine,
     make_frame,
+    probability_bounds,
     subset,
     sweep,
     sweep_to_csv,
@@ -229,6 +232,70 @@ def test_quasi_sweep_y_zero_with_positive_x_is_infeasible():
     point = next(p for p in result.points if p.x == F(1, 2) and p.y == 0)
     assert not point.total_conflict
     assert all(r.verdict is Verdict.INFEASIBLE for r in point.rows)
+
+
+def _closed_form_bounds(x, xbar, y):
+    """[min, max] of P(S) over the quasi family's polytope, by hand, for the
+    sets the family names; None where the polytope is empty.
+
+    B forces P(c) = 1-y and P(a) + P(b) = y, and A forces x <= P(a) <= 1-xbar,
+    so the polytope is empty iff x > y.  The partition family is the slice
+    xbar = 1-x.
+    """
+    if x > y:
+        return None
+    a, b, c, ab, bc = (
+        subset(sweeps.family_frame(), members)
+        for members in (["a"], ["b"], ["c"], ["a", "b"], ["b", "c"])
+    )
+    return {
+        a: (x, min(y, 1 - xbar)),
+        b: (max(F(0), y + xbar - 1), y - x),
+        c: (1 - y, 1 - y),
+        ab: (y, y),
+        bc: (1 - min(y, 1 - xbar), 1 - x),
+    }
+
+
+@pytest.mark.parametrize(
+    "family, grid, options",
+    [
+        (Family.PARTITION_XY, 4, {}),
+        (Family.PARTITION_XY, 12, {}),
+        (Family.QUASI_X_XBAR_Y, 2, {}),
+        (Family.QUASI_X_XBAR_Y, 12, {}),
+        (Family.QUASI_X_XBAR_Y, 8, {"full_3d": True}),
+    ],
+)
+def test_sweep_probability_intervals_match_the_closed_forms(family, grid, options):
+    infeasible = 0
+    for p in sweep(family, grid, **options).points:
+        if p.total_conflict:
+            continue
+        forms = _closed_form_bounds(p.x, 1 - p.x if p.xbar is None else p.xbar, p.y)
+        infeasible += forms is None
+        for r in p.rows:
+            if forms is None:
+                assert not r.prob.feasible, (p.x, p.xbar, p.y, r.element)
+            else:
+                assert (r.prob.lower, r.prob.upper) == forms[r.element], (p.x, p.xbar, p.y)
+    # Every grid has points with x > y.
+    assert infeasible
+
+
+def test_closed_form_of_the_bc_cell_matches_the_lp():
+    # No combined focal set is {b,c}, so no sweep row checks its form.
+    bc = subset(sweeps.family_frame(), ["b", "c"])
+    for x, xbar, y in itertools.product([F(i, 8) for i in range(9)], repeat=3):
+        if x + xbar > 1:
+            continue
+        forms = _closed_form_bounds(x, xbar, y)
+        system = build_constraints(list(instantiate(quasi_spec(x, xbar, y))))
+        interval = probability_bounds(system, bc)
+        if forms is None:
+            assert not interval.feasible
+        else:
+            assert (interval.lower, interval.upper) == forms[bc], (x, xbar, y)
 
 
 def test_zero_conflict_points_never_verdict_disjoint():
