@@ -139,7 +139,8 @@ def cmd_combine(path: str, fmt: str, body_names: tuple[str, ...]) -> None:
 @click.option(
     "--invert",
     is_flag=True,
-    help="Recover masses from belief and verify "
+    help="Recover masses from belief and verify the round trip; adds the "
+    "check to --all or to listed subsets "
     f"(at most {MAX_TABLE_ELEMENTS} elements).",
 )
 @click.argument("body_name")
@@ -167,7 +168,11 @@ def cmd_measures(
         ]
     else:
         if not subsets:
-            _fail(EXIT_INPUT_ERROR, "pass subsets as arguments or use --all")
+            _fail(
+                EXIT_INPUT_ERROR,
+                "pass subsets as arguments or use --all; "
+                "--invert adds the round-trip check to either",
+            )
         try:
             targets = [_parse_subset(doc.frame, tok) for tok in subsets]
         except FrameError as exc:

@@ -114,9 +114,10 @@ def build_constraints(
 ) -> ProbabilityConstraintSystem:
     """The allocation system of the given bodies, with its phase one run.
 
-    Rows, all equalities: each focal set of two or more elements splits its
-    mass over its elements; each body after the first has body 0's marginal
-    on every element but the last.  A vacuous body adds one split row.
+    Rows, all equalities with 0/+-1 `int` coefficients and a rational rhs:
+    each focal set of two or more elements splits its mass over its
+    elements; each body after the first has body 0's marginal on every
+    element but the last.  A vacuous body adds one split row.
     """
     if not bodies:
         raise ValueError("need at least one body")

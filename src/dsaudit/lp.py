@@ -1,35 +1,35 @@
 """Exact linear programming over rationals.
 
 One problem form: minimize c.x subject to A x = b and x >= 0, every row an
-equality.  A small two-phase primal simplex with exact inputs, each an `int`
-or a `fractions.Fraction`, and exact `Fraction` results, whose tableau holds
-Python `int`s.  This is fraction-free pivoting (Edmonds 1967; Bareiss 1968)
-on one invariant: with M the integer system and B its basic columns, every
-row is d*(B^-1 M)_i for one scale d = |det B| shared by all rows.  A pivot
-on p replaces each other row by (p*row - row[c]*pivot_row) // d, and p
-becomes the scale.  The division is exact: d*B^-1 = adj B up to sign, so
-every entry before and after a pivot is an integer minor of M (Cramer's
-rule).  A positive common scale changes no sign and no ratio, so every
-pivot is the one the `Fraction` tableau would make, without its per-entry
-gcd and object construction; the ratio test cross-multiplies.
-Bland's rule is used for both the entering and leaving choices, which rules
-out cycling, so the solver terminates on every input.  Degenerate and
-redundant constraints are tolerated; redundant rows left over from phase one
-are dropped.
+equality.  A and c are `int`s and b is exact, each entry an `int` or a
+`fractions.Fraction`; results are exact `Fraction`s.  A small two-phase
+primal simplex whose tableau holds Python `int`s.  This is fraction-free
+pivoting (Edmonds 1967; Bareiss 1968) on one invariant: with B the basic
+columns of A, every row is d*(B^-1 A)_i for one scale d = |det B| shared by
+all rows.  A pivot on p replaces each other row by
+(p*row - row[c]*pivot_row) // d, and p becomes the scale.  The division is
+exact: d*B^-1 = adj B up to sign, so every entry before and after a pivot is
+an integer minor of A (Cramer's rule).  A positive common scale changes no
+sign and no ratio, so every pivot is the one the `Fraction` tableau would
+make, without its per-entry gcd and object construction; the ratio test
+cross-multiplies.  Bland's rule is used for both the entering and leaving
+choices, which rules out cycling, so the solver terminates on every input.
+Degenerate and redundant constraints are tolerated; redundant rows left
+over from phase one are dropped.
 
-Phase one gives every equality row its own artificial column, which starts
-in the basis, so the start is B = I and d = 1.  Each row's coefficients are
-scaled to ints by their own lcm and the right-hand sides are put over one
-common denominator, so a system whose coefficients are small ints keeps
-them: for the two-body allocation LP the matrix is totally unimodular and d
-stays 1.  Phase one depends only on the constraints, so it is a value of its
-own: `phase_one` returns a `FeasibleStart` (or None when the system is
-infeasible), and `minimize`/`maximize` run phase two from it.  Callers that
-optimise several objectives over one system compute the start once and pass
-it to every solve.  While the pivot entry equals the scale, the update
-touches only the rows with a nonzero in the pivot column, and in them only
-the nonzero entries of the pivot row, since artificial columns are mostly
-zeros; there is no revised-simplex machinery.
+Phase one gives every equality row its own artificial column of cost 1,
+which starts in the basis, so the start is B = I and d = 1.  The rows are
+the caller's own, unscaled; only the right-hand sides are put over one
+common denominator.  So for the two-body allocation LP, whose 0/+-1 matrix
+is totally unimodular, d stays 1.  Phase one depends only on the
+constraints, so it is a value of its own: `phase_one` returns a
+`FeasibleStart` (or None when the system is infeasible), and
+`minimize`/`maximize` run phase two from it.  Callers that optimise several
+objectives over one system compute the start once and pass it to every
+solve.  While the pivot entry equals the scale, the update touches only the
+rows with a nonzero in the pivot column, and in them only the nonzero
+entries of the pivot row, since artificial columns are mostly zeros; there
+is no revised-simplex machinery.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ class LPStatus(Enum):
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """coeffs . x == rhs, with an optional provenance tag."""
+    """coeffs . x == rhs, with an optional provenance tag.  The coefficients
+    are `int`s; the rhs is an `int` or a `Fraction`."""
 
-    coeffs: tuple[int | Fraction, ...]
+    coeffs: tuple[int, ...]
     rhs: int | Fraction
     tag: str = ""
     # A class constant, not a field; bench/dsbench/trace.py::_tableau_cols reads it.
@@ -75,12 +76,12 @@ class FeasibleStart:
 
     One integer tableau row per non-redundant constraint, over the
     `num_vars` variables and followed by the right-hand side; `basis[i]` is
-    the variable basic in row i.  The rows are d*B^-1 [M | den*b], where
-    M x = b is the system with each row's coefficients scaled to ints by
-    their own lcm, `den` is the least common denominator of the scaled
-    right-hand sides, B is the basic columns of M and d = |det B|.  So the
-    basic columns form d*I, and the value of variable `basis[i]` is
-    `Fraction(rows[i][-1], d * den)`.  No artificial column is left.
+    the variable basic in row i.  The rows are d*B^-1 [A | den*b], where
+    A x = b is the caller's system with its integer matrix A, `den` is the
+    least common denominator of the right-hand sides, B is the basic
+    columns of A and d = |det B|.  So the basic columns form d*I, and the
+    value of variable `basis[i]` is `Fraction(rows[i][-1], d * den)`.  No
+    artificial column is left.
     """
 
     num_vars: int
@@ -163,33 +164,22 @@ def phase_one(
     It depends on the constraints only, so one start serves every objective
     minimized or maximized over the same system.
     """
-    # Row i is constraint i's coefficients times their lcm scale_i and rhs
-    # den*scale_i*rhs_i, negated with the row if it is negative; then
-    # artificial column num_vars + i of +1, basic at the start, so B = I and
-    # d = 1.  Artificial i costs lcm(scales)/scale_i: a positive multiple of
-    # the sum of the artificials of the Fraction rows with unit artificials,
-    # so Bland's rule pivots as it would on those.
+    # Row i is constraint i's coefficients and den*rhs_i, negated with the
+    # row if it is negative; then artificial column num_vars + i of +1,
+    # basic at the start, so B = I and d = 1.  Every artificial costs 1.
+    den = lcm(*[con.rhs.denominator for con in constraints])
     rows: list[list[int]] = []
-    scales: list[int] = []
-    for con in constraints:
-        if len(con.coeffs) != num_vars:
-            raise ValueError(f"constraint width mismatch: {con}")
-        scale = lcm(*[v.denominator for v in con.coeffs])
-        row = [v.numerator * (scale // v.denominator) for v in con.coeffs]
-        rows.append(row + [0] * len(constraints))
-        scales.append(scale)
-    rhs = [scale * con.rhs for scale, con in zip(scales, constraints)]
-    den = lcm(*[b.denominator for b in rhs])
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        row.append(b.numerator * (den // b.denominator))
-        if row[-1] < 0:
-            rows[i] = row = [-v for v in row]
+    for i, con in enumerate(constraints):
+        if len(con.coeffs) != num_vars or not all(isinstance(v, int) for v in con.coeffs):
+            raise ValueError(f"constraint is not {num_vars} ints: {con}")
+        b = con.rhs.numerator * (den // con.rhs.denominator)
+        row = list(con.coeffs) + [0] * len(constraints) + [b]
+        if b < 0:
+            row = [-v for v in row]
         row[num_vars + i] = 1
+        rows.append(row)
     basis = list(range(num_vars, num_vars + len(rows)))
-
-    weight = lcm(*scales)
-    cost1 = [0] * num_vars + [weight // scale for scale in scales]
-    status, reduced, d = _run_simplex(rows, basis, cost1, 1)
+    status, reduced, d = _run_simplex(rows, basis, [0] * num_vars + [1] * len(rows), 1)
     if status is not LPStatus.OPTIMAL:
         raise AssertionError("phase one cannot be unbounded")
     if reduced[-1]:
@@ -219,7 +209,7 @@ def phase_one(
 
 
 def minimize(
-    objective: Sequence[int | Fraction],
+    objective: Sequence[int],
     constraints: Sequence[LinearConstraint],
     num_vars: int,
     start: FeasibleStart | None = None,
@@ -229,9 +219,9 @@ def minimize(
     `start`, when given, must be `phase_one(constraints, num_vars)`: passing
     it skips phase one, which is the same for every objective.
     """
-    obj = list(objective)
-    if len(obj) != num_vars:
-        raise ValueError("objective length does not match num_vars")
+    cost = list(objective)
+    if len(cost) != num_vars or not all(isinstance(c, int) for c in cost):
+        raise ValueError(f"objective is not {num_vars} ints")
     if start is None:
         start = phase_one(constraints, num_vars)
         if start is None:
@@ -242,9 +232,6 @@ def minimize(
     rows = [list(row) for row in start.rows]
     basis = list(start.basis)
     d = rows[0][basis[0]] if rows else 1
-    # A positive multiple of the objective has the same minimizers.
-    scale = lcm(*[c.denominator for c in obj])
-    cost = [c.numerator * (scale // c.denominator) for c in obj]
     status, reduced, d = _run_simplex(rows, basis, cost, d)
     if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, None, None)
@@ -254,12 +241,12 @@ def minimize(
     for row, b in zip(rows, basis):
         if b < num_vars:
             point[b] = Fraction(row[-1], d * start.den)
-    value = Fraction(-reduced[-1], d * start.den * scale)
+    value = Fraction(-reduced[-1], d * start.den)
     return LPSolution(LPStatus.OPTIMAL, value, tuple(point))
 
 
 def maximize(
-    objective: Sequence[int | Fraction],
+    objective: Sequence[int],
     constraints: Sequence[LinearConstraint],
     num_vars: int,
     start: FeasibleStart | None = None,

@@ -1,30 +1,43 @@
 """Inequality systems on the equality-only solver `dsaudit.lp`, in slack form.
 
-`dsaudit.lp` solves one form: min c.x subject to A x = b and x >= 0.  These
-helpers take the vertex oracle's rows (`lp_oracle.Row`, any sense) and put
-the system in that form: one slack s >= 0 per inequality, after the
-variables and in row order, with coefficient +1 for a "<=" row
-(a.x + s = b) and -1 for a ">=" row (a.x - s = b).  Slacks cost nothing,
-and the returned point drops them, so a solution reads over the original
-variables.  `phase_one`, `minimize` and `maximize` mirror the signatures in
-`dsaudit.lp`; a `start` must come from this module's `phase_one`.
+`dsaudit.lp` solves one form: min c.x subject to A x = b and x >= 0, with A
+and c integer.  These helpers take the vertex oracle's rows (`lp_oracle.Row`,
+any sense, rational coefficients) and put the system in that form: each row,
+rhs included, is multiplied by the lcm of its coefficients' denominators,
+and one slack s >= 0 per inequality follows the variables in row order, with
+coefficient +lcm for a "<=" row (a.x + s = b) and -lcm for a ">=" row
+(a.x - s = b).  The objective is multiplied by the lcm of its own
+denominators, and the value is divided back.  Slacks cost nothing, and the
+returned point drops them, so a solution reads over the original variables.
+`phase_one`, `minimize` and `maximize` mirror the signatures in `dsaudit.lp`;
+a `start` must come from this module's `phase_one`.
 """
+
+from fractions import Fraction
+from math import lcm
 
 from dsaudit import lp
 
 
+def _integer_scale(values) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    scale = lcm(*[Fraction(v).denominator for v in values])
+    return [int(v * scale) for v in values], scale
+
+
 def _equality_form(rows, num_vars: int) -> tuple[list[lp.LinearConstraint], int]:
-    """The rows as equalities over the variables and the slacks, and the
-    number of columns that makes."""
+    """The rows as integer equalities over the variables and the slacks, and
+    the number of columns that makes."""
     width = num_vars + sum(row.sense != "==" for row in rows)
     out = []
     slack = num_vars
     for row in rows:
-        coeffs = list(row.coeffs) + [0] * (width - num_vars)
+        coeffs, scale = _integer_scale(row.coeffs)
+        coeffs += [0] * (width - num_vars)
         if row.sense != "==":
-            coeffs[slack] = 1 if row.sense == "<=" else -1
+            coeffs[slack] = scale if row.sense == "<=" else -scale
             slack += 1
-        out.append(lp.LinearConstraint(tuple(coeffs), row.rhs))
+        out.append(lp.LinearConstraint(tuple(coeffs), scale * row.rhs))
     return out, width
 
 
@@ -42,8 +55,8 @@ def maximize(objective, rows, num_vars: int, start=None) -> lp.LPSolution:
 
 def _solve(solver, objective, rows, num_vars, start):
     constraints, width = _equality_form(rows, num_vars)
-    objective = list(objective) + [0] * (width - num_vars)
-    sol = solver(objective, constraints, width, start)
+    cost, scale = _integer_scale(objective)
+    sol = solver(cost + [0] * (width - num_vars), constraints, width, start)
     if sol.point is None:
         return sol
-    return lp.LPSolution(sol.status, sol.value, sol.point[:num_vars])
+    return lp.LPSolution(sol.status, sol.value / scale, sol.point[:num_vars])

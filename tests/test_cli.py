@@ -139,6 +139,12 @@ def test_measures_all_and_invert(runner, tmp_path):
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert len(json.loads(result.stdout)["measures"]) == 8
+    # --invert alone names no subsets to show; the message says what it adds to.
+    result = runner.invoke(main, ["measures", "-i", path, "A", "--invert"])
+    assert result.exit_code == 2
+    assert "--invert adds the round-trip check to either" in result.output
+    help_text = runner.invoke(main, ["measures", "--help"]).output
+    assert "adds the check to --all or to listed subsets" in " ".join(help_text.split())
 
 
 def test_measures_invert_mismatch_exits_4(runner, tmp_path, monkeypatch):

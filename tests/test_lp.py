@@ -11,6 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from dsaudit import lp
 from dsaudit.lp import LPStatus
 from lp_oracle import SENSES, Row, bounds_by_vertex_enumeration
 from slack_form import maximize, minimize, phase_one
@@ -58,6 +59,24 @@ def test_start_must_match_num_vars():
     cons = [c([1, 1], EQ, 1)]
     with pytest.raises(ValueError):
         minimize([F(1)], [c([1], EQ, 1)], 1, phase_one(cons, 2))
+
+
+_ROW = lp.LinearConstraint((1, 1), F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lp.phase_one([lp.LinearConstraint((F(1, 2), 1), 1)], 2),
+        lambda: lp.minimize([F(1, 2), 0], [_ROW], 2),
+        lambda: lp.maximize([F(1, 2), 0], [_ROW], 2),
+    ],
+    ids=["phase_one-coefficient", "minimize-objective", "maximize-objective"],
+)
+def test_fraction_coefficients_are_refused(call):
+    # The tableau is integer, so `//` would floor a Fraction silently.
+    with pytest.raises(ValueError):
+        call()
 
 
 def _warm_equals_cold(solver, obj, cons, n, start):
@@ -171,8 +190,9 @@ def test_agrees_with_vertex_oracle_on_fixed_cases():
             assert (lo.value, hi.value) == oracle
 
 
-# Denominators include the unrelated primes 97 and 101, so that integer rows
-# scaled by their lcm carry large, coprime entries.
+# Denominators include the unrelated primes 97 and 101, so that the integer
+# rows `slack_form` makes by scaling each row by its lcm carry large, coprime
+# entries.
 _DENOMINATORS = st.sampled_from((1, 2, 3, 7, 97, 101))
 _rationals = st.builds(Fraction, st.integers(-9, 9), _DENOMINATORS)
 _positive = st.builds(Fraction, st.integers(1, 9), _DENOMINATORS)

@@ -23,7 +23,8 @@ from dsaudit import (
     sweep_to_csv,
 )
 from dsaudit import sweeps
-from dsaudit.evidence import StructureTag, classify
+from dsaudit.consistency import ProbabilityInterval, _verdict
+from dsaudit.evidence import StructureTag, classify, make_body
 from dsaudit.sweeps import (
     closed_form_masses,
     instantiate,
@@ -296,6 +297,32 @@ def test_closed_form_of_the_bc_cell_matches_the_lp():
             assert not interval.feasible
         else:
             assert (interval.lower, interval.upper) == forms[bc], (x, xbar, y)
+
+
+def test_partition_family_is_consistent_iff_kappa_is_zero_by_closed_forms():
+    # The paper's finding on the N=60 grid with no LP: the DS side from the
+    # combined masses' closed form, the probability side from the intervals'
+    # closed form.  Conflict is A's {a} against B's {c}, so kappa = x(1-y).
+    frame = sweeps.family_frame()
+    singletons = [subset(frame, [e]) for e in "abc"]
+    grid = [F(i, 60) for i in range(61)]
+    checked = 0
+    for x, y in itertools.product(grid, repeat=2):
+        if (x, y) == (1, 0):
+            continue  # total conflict: nothing to combine
+        masses = closed_form_masses(partition_spec(x, y))
+        tag = classify(make_body(frame, masses.items()))
+        forms = _closed_form_bounds(x, 1 - x, y)
+        verdicts = []
+        for s in singletons:
+            bel = sum([m for c, m in masses.items() if not c.bits & ~s.bits], F(0))
+            pl = sum([m for c, m in masses.items() if c.bits & s.bits], F(0))
+            prob = ProbabilityInterval(s, *(forms[s] if forms else (None, None)))
+            verdicts.append(_verdict(bel, pl, prob, tag))
+        exact = all(v is Verdict.EXACT_MATCH for v in verdicts)
+        assert exact == (x * (1 - y) == 0) == (x == 0 or y == 1), (x, y, verdicts)
+        checked += 1
+    assert checked == 61 * 61 - 1
 
 
 def test_zero_conflict_points_never_verdict_disjoint():
