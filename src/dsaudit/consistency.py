@@ -18,9 +18,10 @@ feasible basis.  The tight interval per target is then compared with the
 
 P sums to 1 at every feasible point, so min P(S) = 1 - max P(complement)
 and max P(S) = 1 - min P(complement).  An audit takes its targets in
-ascending bitmask order: the whole frame gets [1, 1] with no LP, and a
-target whose complement came earlier gets [1 - upper, 1 - lower] of that
-target's interval.  So a feasible audit solves two LPs per remaining
+ascending bitmask order, and a target whose complement came earlier gets
+[1 - upper, 1 - lower] of that target's interval.  A feasible audit knows
+the empty set's [0, 0] from the start, so the whole frame, its complement,
+gets [1, 1] with no LP.  So a feasible audit solves two LPs per remaining
 target, and an infeasible one none.
 """
 
@@ -38,7 +39,6 @@ from .frames import FocalSet, Frame, require_same_frame
 from .measures import belief, plausibility
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -228,16 +228,14 @@ def audit(
     targets = {1 << i for i in range(frame.size)}
     targets.update(s.bits for s in combined.focal_sets())
     full = (1 << frame.size) - 1
-    solved: dict[int, ProbabilityInterval] = {}
+    solved = {0: ProbabilityInterval(frame.empty(), _ZERO, _ZERO)} if system.feasible else {}
     findings: list[ElementFinding] = []
     for bits in sorted(targets):
         subset = FocalSet(frame, bits)
         ds_lower = belief(combined, subset)
         ds_upper = plausibility(combined, subset)
         paired = solved.get(full ^ bits)
-        if system.feasible and bits == full:
-            prob = ProbabilityInterval(subset, _ONE, _ONE)
-        elif system.feasible and paired is not None:
+        if paired is not None and paired.feasible:
             assert paired.lower is not None and paired.upper is not None
             prob = ProbabilityInterval(subset, 1 - paired.upper, 1 - paired.lower)
         else:

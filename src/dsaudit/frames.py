@@ -16,8 +16,8 @@ from typing import Iterator, Sequence
 # simplex small.  Whole-subset tables (`measure_table`, `mass_from_belief`,
 # `enumerate_subsets`) still take 2**n steps and memory: a measure table is
 # one common denominator and one int per subset, and it makes a `FocalSet`
-# and a `Fraction` only for each value read.  `dsaudit measures` bounds its
-# tables separately.
+# and a `Fraction` per subset only when its `values` mapping is first read.
+# `dsaudit measures` bounds its tables separately.
 FRAME_SIZE_CAP = 24
 _RESERVED = frozenset(",{}")
 

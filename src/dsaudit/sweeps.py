@@ -30,7 +30,7 @@ from .consistency import (
     Verdict,
     audit,
 )
-from .evidence import BodyOfEvidence, make_body
+from .evidence import BodyOfEvidence, as_mass, make_body
 from .frames import FocalSet, make_frame, subset
 
 
@@ -81,11 +81,13 @@ class FamilySpec:
 
 
 def partition_spec(x: Fraction, y: Fraction) -> FamilySpec:
-    return FamilySpec(Fraction(x), None, Fraction(y))
+    """A partition-xy point; each parameter is read by ``as_mass``."""
+    return FamilySpec(as_mass(x), None, as_mass(y))
 
 
 def quasi_spec(x: Fraction, xbar: Fraction, y: Fraction) -> FamilySpec:
-    return FamilySpec(Fraction(x), Fraction(xbar), Fraction(y))
+    """A quasi-x-xbar-y point; each parameter is read by ``as_mass``."""
+    return FamilySpec(as_mass(x), as_mass(xbar), as_mass(y))
 
 
 def instantiate(spec: FamilySpec) -> tuple[BodyOfEvidence, BodyOfEvidence]:
@@ -195,10 +197,12 @@ def sweep(
 
     The quasi family is swept per xbar slice (or over the full 3-D grid when
     ``full_3d``) at the x values with x + xbar <= 1.  Points are visited in
-    canonical grid order, so output is deterministic.  Raises ValueError,
+    canonical grid order, so output is deterministic.  Each xbar slice is
+    read by ``as_mass``, the package's mass parser.  Raises ValueError,
     before any audit, on a density below 2 or of MAX_SWEEP_POINTS or more
-    (checked first, so nothing is built for it), a negative xbar slice (in
-    every mode, even where the slices are unused), or a sweep of more than
+    (checked first, so nothing is built for it), an xbar slice that
+    ``as_mass`` refuses (a float, say) or that is negative (in every mode,
+    even where the slices are unused), or a sweep of more than
     MAX_SWEEP_POINTS points.
     """
     if grid_density < 2:
@@ -208,7 +212,7 @@ def sweep(
             f"grid density {grid_density} gives rows of {grid_density + 1} points;"
             f" the limit is {MAX_SWEEP_POINTS}"
         )
-    xbar_slices = [Fraction(xbar) for xbar in xbar_slices]
+    xbar_slices = [as_mass(xbar) for xbar in xbar_slices]
     negative = next((xbar for xbar in xbar_slices if xbar < 0), None)
     if negative is not None:
         raise ValueError(f"xbar slice {negative} is negative")

@@ -1,5 +1,7 @@
 """Belief, plausibility, duality, and exact mass recovery."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -174,7 +176,9 @@ def test_mass_recovery_names_lowest_negative_subset(abc):
     assert exc_info.value.subset == subset(abc, ["a", "b"])
 
 
-@pytest.mark.parametrize("labels, value", [(["a"], 0.5), (["a", "b", "c"], 1.0)])
+@pytest.mark.parametrize(
+    "labels, value", [(["a"], 0.5), (["a", "b", "c"], 1.0), (["a"], True)]
+)
 def test_mass_recovery_rejects_float_values(abc, labels, value):
     body = make_body(abc, [(subset(abc, ["a"]), "1/2"), (subset(abc, ["b"]), "1/2")])
     values = dict(measure_table(body, MeasureKind.BELIEF).values)
@@ -245,7 +249,8 @@ def test_mass_from_belief_matches_submask_reference(body, data):
 def test_values_view_matches_point_queries_as_a_dict(body, kind):
     point = belief if kind is MeasureKind.BELIEF else plausibility
     expected = {s: point(body, s) for s in enumerate_subsets(body.frame)}
-    view = measure_table(body, kind).values
+    table = measure_table(body, kind)
+    view = table.values
     assert view == expected
     assert list(view) == list(expected)
     assert list(view.items()) == list(expected.items())
@@ -266,6 +271,9 @@ def test_values_view_matches_point_queries_as_a_dict(body, kind):
         view[body.frame.empty()] = Fraction(0)
     with pytest.raises(TypeError):
         del view[body.frame.empty()]
+    # The kept mapping does not stop a table from being pickled or copied.
+    for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        assert copied == table and copied.values == view
 
 
 @settings(max_examples=200)

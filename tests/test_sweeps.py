@@ -68,6 +68,10 @@ def test_spec_validation():
         lambda: quasi_spec(F(-1, 4), F(1, 2), F(1, 2)),
         lambda: partition_spec(F(1, 4), F(-1, 2)),
         lambda: quasi_spec(F(1, 4), F(1, 2), F(-1, 2)),
+        # Not masses: as_mass refuses them, though each reads as one in [0, 1].
+        lambda: partition_spec(0.1, F(1, 2)),
+        lambda: partition_spec(F(1, 4), True),
+        lambda: partition_spec("1e-3000000", "1/2"),
     ]
     for make in invalid:
         with pytest.raises(ValueError):
@@ -299,30 +303,60 @@ def test_closed_form_of_the_bc_cell_matches_the_lp():
             assert (interval.lower, interval.upper) == forms[bc], (x, xbar, y)
 
 
-def test_partition_family_is_consistent_iff_kappa_is_zero_by_closed_forms():
-    # The paper's finding on the N=60 grid with no LP: the DS side from the
-    # combined masses' closed form, the probability side from the intervals'
-    # closed form.  Conflict is A's {a} against B's {c}, so kappa = x(1-y).
+def _closed_form_verdicts(x, xbar, y):
+    """The verdicts on {a}, {b} and {c} with no LP: the DS side from the
+    combined masses' closed form, the probability side from the intervals'
+    closed form."""
     frame = sweeps.family_frame()
-    singletons = [subset(frame, [e]) for e in "abc"]
+    masses = closed_form_masses(quasi_spec(x, xbar, y))
+    tag = classify(make_body(frame, masses.items()))
+    forms = _closed_form_bounds(x, xbar, y)
+    verdicts = []
+    for s in (subset(frame, [e]) for e in "abc"):
+        bel = sum([m for c, m in masses.items() if not c.bits & ~s.bits], F(0))
+        pl = sum([m for c, m in masses.items() if c.bits & s.bits], F(0))
+        prob = ProbabilityInterval(s, *(forms[s] if forms else (None, None)))
+        verdicts.append(_verdict(bel, pl, prob, tag))
+    return verdicts
+
+
+def test_partition_family_is_consistent_iff_kappa_is_zero_by_closed_forms():
+    # The paper's finding on the N=60 grid with no LP.  Conflict is A's {a}
+    # against B's {c}, so kappa = x(1-y).
     grid = [F(i, 60) for i in range(61)]
     checked = 0
     for x, y in itertools.product(grid, repeat=2):
         if (x, y) == (1, 0):
             continue  # total conflict: nothing to combine
-        masses = closed_form_masses(partition_spec(x, y))
-        tag = classify(make_body(frame, masses.items()))
-        forms = _closed_form_bounds(x, 1 - x, y)
-        verdicts = []
-        for s in singletons:
-            bel = sum([m for c, m in masses.items() if not c.bits & ~s.bits], F(0))
-            pl = sum([m for c, m in masses.items() if c.bits & s.bits], F(0))
-            prob = ProbabilityInterval(s, *(forms[s] if forms else (None, None)))
-            verdicts.append(_verdict(bel, pl, prob, tag))
+        verdicts = _closed_form_verdicts(x, 1 - x, y)
         exact = all(v is Verdict.EXACT_MATCH for v in verdicts)
         assert exact == (x * (1 - y) == 0) == (x == 0 or y == 1), (x, y, verdicts)
         checked += 1
     assert checked == 61 * 61 - 1
+
+
+def test_quasi_family_c_verdict_by_closed_forms():
+    # The quasi family's verdict on {c} over the full 3-D N=24 grid with no
+    # LP.  Both sides are points there: B pins P(c) = 1-y, and no combined
+    # focal set but {c} meets c.  So the verdict is Infeasible off the
+    # polytope (x > y) and otherwise ExactMatch exactly where the balance
+    # equation holds.
+    grid = [F(i, 24) for i in range(25)]
+    checked = 0
+    for x, xbar, y in itertools.product(grid, repeat=3):
+        if x + xbar > 1 or (x, y) == (1, 0):
+            continue  # off the family, or total conflict
+        verdict = _closed_form_verdicts(x, xbar, y)[2]
+        if x > y:
+            assert verdict is Verdict.INFEASIBLE, (x, xbar, y)
+        elif x == 0 or y == 1:
+            assert verdict is Verdict.EXACT_MATCH, (x, xbar, y)
+        else:
+            assert verdict is Verdict.VIOLATION, (x, xbar, y, verdict)
+        if x <= y:
+            assert (verdict is Verdict.EXACT_MATCH) == quasi_balance_equation_holds(x, y)
+        checked += 1
+    assert checked == 25 * 26 // 2 * 25 - 1
 
 
 def test_zero_conflict_points_never_verdict_disjoint():
@@ -339,6 +373,8 @@ def test_zero_conflict_points_never_verdict_disjoint():
 def test_sweep_rejects_bad_input():
     with pytest.raises(ValueError):
         sweep(Family.PARTITION_XY, 1)
+    with pytest.raises(ValueError, match="mass must be a Fraction, int, or string"):
+        sweep(Family.QUASI_X_XBAR_Y, 2, xbar_slices=[0.1])
 
 
 def test_sweep_refuses_a_negative_xbar_slice_before_any_audit(monkeypatch):
