@@ -133,7 +133,8 @@ def combine_many(bodies: Sequence[BodyOfEvidence]) -> CombinationResult:
     The returned result is the final pairwise combination; ``steps`` holds
     every intermediate result, each with its own kappa and provenance.  A
     single body returns unchanged with kappa 0.  TotalConflictError carries
-    the 1-based index of the body whose incorporation failed.
+    the 1-based number of the step that failed as ``step``, which is the
+    0-based index of the body that step incorporates.
     """
     if not bodies:
         raise ValueError("combine_many requires at least one body")

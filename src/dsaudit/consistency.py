@@ -176,8 +176,6 @@ def probability_bounds(
     n = len(objective)
     low = lp.minimize(objective, system.constraints, n, start=system.start)
     high = lp.maximize(objective, system.constraints, n, start=system.start)
-    if low.status is not lp.LPStatus.OPTIMAL or high.status is not lp.LPStatus.OPTIMAL:
-        raise AssertionError("bounded polytope cannot yield an unbounded LP")
     return ProbabilityInterval(target, base + low.value, base + high.value)
 
 

@@ -30,6 +30,15 @@ solve.  While the pivot entry equals the scale, the update touches only the
 rows with a nonzero in the pivot column, and in them only the nonzero
 entries of the pivot row, since artificial columns are mostly zeros; there
 is no revised-simplex machinery.
+
+A solve returns `LPSolution(value, basis)`: the optimum and the tableau
+phase two ends on, itself a `FeasibleStart` over the same rows.  An optimal
+basis of one objective is feasible for every other, so it is a valid
+`start` for the next solve over the same constraints.  The witness point
+is read off a basis on demand (`FeasibleStart.point`).  There is no status:
+an infeasible system is `phase_one(...) is None`, and `minimize`/`maximize`
+without a start return None for it; an unbounded objective raises
+`ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -45,12 +54,6 @@ class Sense(Enum):
     EQ = "=="
 
 
-class LPStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
 @dataclass(frozen=True)
 class LinearConstraint:
     """coeffs . x == rhs, with an optional provenance tag.  The coefficients
@@ -64,13 +67,6 @@ class LinearConstraint:
 
 
 @dataclass(frozen=True)
-class LPSolution:
-    status: LPStatus
-    value: Fraction | None
-    point: tuple[Fraction, ...] | None
-
-
-@dataclass(frozen=True)
 class FeasibleStart:
     """A feasible basis of one constraint system, as phase one leaves it.
 
@@ -81,13 +77,42 @@ class FeasibleStart:
     least common denominator of the right-hand sides, B is the basic
     columns of A and d = |det B|.  So the basic columns form d*I, and the
     value of variable `basis[i]` is `Fraction(rows[i][-1], d * den)`.  No
-    artificial column is left.
+    artificial column is left.  The basis a solve ends on has the same form
+    over the same rows, so either one is a valid `start` for any objective
+    over those constraints.
     """
 
     num_vars: int
     rows: tuple[tuple[int, ...], ...]
     basis: tuple[int, ...]
     den: int
+
+    @property
+    def point(self) -> tuple[Fraction, ...]:
+        """The basic solution: x_B is the rhs over d*den, every other x is 0."""
+        x = [Fraction(0)] * self.num_vars
+        if self.rows:
+            scale = self.rows[0][self.basis[0]] * self.den
+            for row, b in zip(self.rows, self.basis):
+                x[b] = Fraction(row[-1], scale)
+        return tuple(x)
+
+
+@dataclass(frozen=True)
+class LPSolution:
+    """An optimal value and the basis it is attained at.
+
+    `basis` is the final tableau over the rows of the solve's start, so it
+    is a valid `start` for another objective over the same constraints.
+    """
+
+    value: Fraction
+    basis: FeasibleStart
+
+    @property
+    def point(self) -> tuple[Fraction, ...]:
+        """An optimal point, read off `basis`."""
+        return self.basis.point
 
 
 def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int, d: int) -> int:
@@ -120,9 +145,10 @@ def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int, d: int) -> i
 
 def _run_simplex(
     rows: list[list[int]], basis: list[int], cost: list[int], d: int
-) -> tuple[LPStatus, list[int], int]:
+) -> tuple[list[int], int]:
     """Minimize cost over the tableau at scale d in place, Bland's rule
-    throughout; returns the status, the reduced-cost row and the final scale.
+    throughout; returns the reduced-cost row and the final scale, or raises
+    ArithmeticError when the cost is unbounded below.
 
     The reduced costs d*(cost - cost_B B^-1 M), rhs included, are one more
     row at scale d, which pivots with the others.  Row i's ratio is
@@ -137,7 +163,7 @@ def _run_simplex(
         reduced = rows[-1]
         entering = next((j for j in range(len(cost)) if reduced[j] < 0), None)
         if entering is None:
-            return LPStatus.OPTIMAL, rows.pop(), d
+            return rows.pop(), d
         # The reduced row's own entry in the entering column is negative, so
         # the ratio test never picks it.
         leaving = None
@@ -152,7 +178,7 @@ def _run_simplex(
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving, best_rhs, best_a = i, row[-1], a
         if leaving is None:
-            return LPStatus.UNBOUNDED, rows.pop(), d
+            raise ArithmeticError(f"unbounded: the cost falls without limit along x{entering}")
         d = _pivot(rows, basis, leaving, entering, d)
 
 
@@ -179,9 +205,7 @@ def phase_one(
         row[num_vars + i] = 1
         rows.append(row)
     basis = list(range(num_vars, num_vars + len(rows)))
-    status, reduced, d = _run_simplex(rows, basis, [0] * num_vars + [1] * len(rows), 1)
-    if status is not LPStatus.OPTIMAL:
-        raise AssertionError("phase one cannot be unbounded")
+    reduced, d = _run_simplex(rows, basis, [0] * num_vars + [1] * len(rows), 1)
     if reduced[-1]:
         return None
     # Drive leftover artificials out of the basis; drop redundant rows.  A
@@ -213,11 +237,13 @@ def minimize(
     constraints: Sequence[LinearConstraint],
     num_vars: int,
     start: FeasibleStart | None = None,
-) -> LPSolution:
+) -> LPSolution | None:
     """Minimize objective . x subject to the constraints and x >= 0.
 
-    `start`, when given, must be `phase_one(constraints, num_vars)`: passing
-    it skips phase one, which is the same for every objective.
+    `start`, when given, must be a feasible basis of the same constraints:
+    `phase_one(constraints, num_vars)`, or the basis of an earlier solve.
+    Without one, phase one runs first, and None is returned when the system
+    is infeasible.  Raises ArithmeticError when the objective is unbounded.
     """
     cost = list(objective)
     if len(cost) != num_vars or not all(isinstance(c, int) for c in cost):
@@ -225,24 +251,19 @@ def minimize(
     if start is None:
         start = phase_one(constraints, num_vars)
         if start is None:
-            return LPSolution(LPStatus.INFEASIBLE, None, None)
+            return None
     elif start.num_vars != num_vars:
         raise ValueError("start was built for a different num_vars")
 
     rows = [list(row) for row in start.rows]
     basis = list(start.basis)
     d = rows[0][basis[0]] if rows else 1
-    status, reduced, d = _run_simplex(rows, basis, cost, d)
-    if status is LPStatus.UNBOUNDED:
-        return LPSolution(LPStatus.UNBOUNDED, None, None)
-
-    # x_B is the rhs over d*den, and the reduced row's rhs is -d*den*cost.x.
-    point = [Fraction(0)] * num_vars
-    for row, b in zip(rows, basis):
-        if b < num_vars:
-            point[b] = Fraction(row[-1], d * start.den)
-    value = Fraction(-reduced[-1], d * start.den)
-    return LPSolution(LPStatus.OPTIMAL, value, tuple(point))
+    reduced, d = _run_simplex(rows, basis, cost, d)
+    # The reduced row's rhs is -d*den*cost.x.
+    return LPSolution(
+        Fraction(-reduced[-1], d * start.den),
+        FeasibleStart(num_vars, tuple(map(tuple, rows)), tuple(basis), start.den),
+    )
 
 
 def maximize(
@@ -250,10 +271,8 @@ def maximize(
     constraints: Sequence[LinearConstraint],
     num_vars: int,
     start: FeasibleStart | None = None,
-) -> LPSolution:
-    """Maximize objective . x subject to the constraints and x >= 0."""
+) -> LPSolution | None:
+    """Maximize objective . x subject to the constraints and x >= 0; see
+    `minimize`."""
     sol = minimize([-c for c in objective], constraints, num_vars, start)
-    if sol.status is not LPStatus.OPTIMAL:
-        return sol
-    assert sol.value is not None
-    return LPSolution(LPStatus.OPTIMAL, -sol.value, sol.point)
+    return None if sol is None else LPSolution(-sol.value, sol.basis)

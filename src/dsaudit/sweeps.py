@@ -61,13 +61,21 @@ def family_frame():
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A point in one of the parametric families; xbar is None for partition-xy."""
+    """A point in one of the parametric families; xbar is None for partition-xy.
+
+    Each parameter is read by ``as_mass``, so a float, a bool or an
+    oversized exponent is refused with ValueError.
+    """
 
     x: Fraction
     xbar: Fraction | None
     y: Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "x", as_mass(self.x))
+        if self.xbar is not None:
+            object.__setattr__(self, "xbar", as_mass(self.xbar))
+        object.__setattr__(self, "y", as_mass(self.y))
         x, bc, y = self.x, self.bc_mass, self.y
         if x < 0 or bc < 0 or x + bc > 1 or not 0 <= y <= 1:
             raise ValueError(
@@ -81,13 +89,13 @@ class FamilySpec:
 
 
 def partition_spec(x: Fraction, y: Fraction) -> FamilySpec:
-    """A partition-xy point; each parameter is read by ``as_mass``."""
-    return FamilySpec(as_mass(x), None, as_mass(y))
+    """A partition-xy point."""
+    return FamilySpec(x, None, y)
 
 
 def quasi_spec(x: Fraction, xbar: Fraction, y: Fraction) -> FamilySpec:
-    """A quasi-x-xbar-y point; each parameter is read by ``as_mass``."""
-    return FamilySpec(as_mass(x), as_mass(xbar), as_mass(y))
+    """A quasi-x-xbar-y point."""
+    return FamilySpec(x, xbar, y)
 
 
 def instantiate(spec: FamilySpec) -> tuple[BodyOfEvidence, BodyOfEvidence]:
@@ -199,12 +207,14 @@ def sweep(
     ``full_3d``) at the x values with x + xbar <= 1.  Points are visited in
     canonical grid order, so output is deterministic.  Each xbar slice is
     read by ``as_mass``, the package's mass parser.  Raises ValueError,
-    before any audit, on a density below 2 or of MAX_SWEEP_POINTS or more
-    (checked first, so nothing is built for it), an xbar slice that
-    ``as_mass`` refuses (a float, say) or that is negative (in every mode,
-    even where the slices are unused), or a sweep of more than
-    MAX_SWEEP_POINTS points.
+    before any audit, on a density that is not an int, below 2 or of
+    MAX_SWEEP_POINTS or more (checked first, so nothing is built for it),
+    an xbar slice that ``as_mass`` refuses (a float, say) or that is
+    negative (in every mode, even where the slices are unused), or a sweep
+    of more than MAX_SWEEP_POINTS points.
     """
+    if not isinstance(grid_density, int) or isinstance(grid_density, bool):
+        raise ValueError(f"grid density must be an int, not {type(grid_density).__name__}")
     if grid_density < 2:
         raise ValueError("grid density must be at least 2")
     if grid_density >= MAX_SWEEP_POINTS:

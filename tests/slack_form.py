@@ -7,16 +7,28 @@ rhs included, is multiplied by the lcm of its coefficients' denominators,
 and one slack s >= 0 per inequality follows the variables in row order, with
 coefficient +lcm for a "<=" row (a.x + s = b) and -lcm for a ">=" row
 (a.x - s = b).  The objective is multiplied by the lcm of its own
-denominators, and the value is divided back.  Slacks cost nothing, and the
-returned point drops them, so a solution reads over the original variables.
+denominators, and the value is divided back.  Slacks cost nothing, and a
+`Solution`'s point drops them, so it reads over the original variables.
 `phase_one`, `minimize` and `maximize` mirror the signatures in `dsaudit.lp`;
-a `start` must come from this module's `phase_one`.
+a `start` must come from this module's `phase_one`, or be the `basis` of one
+of this module's solutions over the same rows.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from dsaudit import lp
+
+
+@dataclass(frozen=True)
+class Solution:
+    """An optimum over the original variables; `basis` is the `dsaudit.lp`
+    basis over the slack form, a valid `start` for the same rows."""
+
+    value: Fraction
+    point: tuple[Fraction, ...]
+    basis: lp.FeasibleStart
 
 
 def _integer_scale(values) -> tuple[list[int], int]:
@@ -45,11 +57,11 @@ def phase_one(rows, num_vars: int) -> lp.FeasibleStart | None:
     return lp.phase_one(*_equality_form(rows, num_vars))
 
 
-def minimize(objective, rows, num_vars: int, start=None) -> lp.LPSolution:
+def minimize(objective, rows, num_vars: int, start=None) -> Solution | None:
     return _solve(lp.minimize, objective, rows, num_vars, start)
 
 
-def maximize(objective, rows, num_vars: int, start=None) -> lp.LPSolution:
+def maximize(objective, rows, num_vars: int, start=None) -> Solution | None:
     return _solve(lp.maximize, objective, rows, num_vars, start)
 
 
@@ -57,6 +69,6 @@ def _solve(solver, objective, rows, num_vars, start):
     constraints, width = _equality_form(rows, num_vars)
     cost, scale = _integer_scale(objective)
     sol = solver(cost + [0] * (width - num_vars), constraints, width, start)
-    if sol.point is None:
-        return sol
-    return lp.LPSolution(sol.status, sol.value / scale, sol.point[:num_vars])
+    if sol is None:
+        return None
+    return Solution(sol.value / scale, sol.point[:num_vars], sol.basis)

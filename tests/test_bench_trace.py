@@ -2,7 +2,8 @@
 
 The tracer reads internals (`build_constraints(...).constraints`, the rows
 passed to `lp.minimize` and their `LinearConstraint.sense.name` and `.rhs`,
-`LPSolution.point`), so a refactor can break
+`LPSolution.value` and `LPSolution.point`, which is read off the solve's
+final basis), so a refactor can break
 `bench/run.py --trace 1` without any unit test noticing.
 """
 

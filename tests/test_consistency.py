@@ -227,7 +227,6 @@ def test_bounds_are_attained_by_feasible_distributions(quasi_bodies_pair, abc):
             (slack_form.maximize, interval.upper),
         ):
             sol = solver(objective, two_sided, abc.size)
-            assert sol.status is lp.LPStatus.OPTIMAL
             assert sol.value == bound
             assert all(con.holds_at(sol.point) for con in two_sided)
             assert sum(o * x for o, x in zip(objective, sol.point)) == bound
@@ -333,6 +332,32 @@ def test_audit_bounds_equal_direct_solves(bodies_):
         event("complement pair")
     for f in report.findings:
         assert f.prob == probability_bounds(report.system, f.subset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    frames(min_size=3, max_size=3).flatmap(
+        lambda f: st.lists(bodies(frame=f, max_focal=4), min_size=2, max_size=3)
+    )
+)
+def test_chained_solves_equal_cold_solves(bodies_):
+    # Allocation systems shaped like the audit-random benchmark's: each
+    # target's min starts from the previous min's basis and its max from the
+    # previous max's, and every value equals a cold solve's.
+    system = build_constraints(bodies_)
+    event("feasible" if system.feasible else "infeasible")
+    if not system.feasible:
+        return
+    rows, n = system.constraints, len(system.owners)
+    chains = {lp.minimize: system.start, lp.maximize: system.start}
+    for s in enumerate_subsets(system.frame):
+        objective = [1 if k == 0 and s.bits >> w & 1 else 0 for k, w in system.owners]
+        for solver, start in chains.items():
+            sol = solver(objective, rows, n, start)
+            assert sol.value == solver(objective, rows, n).value
+            point = sol.point
+            assert all(sum(a * x for a, x in zip(con.coeffs, point)) == con.rhs for con in rows)
+            chains[solver] = sol.basis
 
 
 def test_twenty_element_audit_needs_no_power_set():

@@ -26,6 +26,7 @@ from dsaudit import sweeps
 from dsaudit.consistency import ProbabilityInterval, _verdict
 from dsaudit.evidence import StructureTag, classify, make_body
 from dsaudit.sweeps import (
+    FamilySpec,
     closed_form_masses,
     instantiate,
     partition_spec,
@@ -72,6 +73,10 @@ def test_spec_validation():
         lambda: partition_spec(0.1, F(1, 2)),
         lambda: partition_spec(F(1, 4), True),
         lambda: partition_spec("1e-3000000", "1/2"),
+        # Built directly, the spec reads its parameters the same way.
+        lambda: FamilySpec(0.1, None, F(1, 2)),
+        lambda: FamilySpec(F(1, 4), True, F(1, 2)),
+        lambda: FamilySpec("1e-3000000", None, F(1, 2)),
     ]
     for make in invalid:
         with pytest.raises(ValueError):
@@ -373,6 +378,9 @@ def test_zero_conflict_points_never_verdict_disjoint():
 def test_sweep_rejects_bad_input():
     with pytest.raises(ValueError):
         sweep(Family.PARTITION_XY, 1)
+    for density in (2.5, "12", True):
+        with pytest.raises(ValueError, match="grid density must be an int"):
+            sweep(Family.PARTITION_XY, density)
     with pytest.raises(ValueError, match="mass must be a Fraction, int, or string"):
         sweep(Family.QUASI_X_XBAR_Y, 2, xbar_slices=[0.1])
 
