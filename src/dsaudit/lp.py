@@ -13,23 +13,29 @@ an integer minor of A (Cramer's rule).  A positive common scale changes no
 sign and no ratio, so every pivot is the one the `Fraction` tableau would
 make, without its per-entry gcd and object construction; the ratio test
 cross-multiplies.  Bland's rule is used for both the entering and leaving
-choices, which rules out cycling, so the solver terminates on every input.
+choices, so a simplex run over a fixed set of columns cannot cycle.  Phase
+two's columns are fixed; in phase one they are fixed between the pivots at
+which artificials leave (below), and only finitely many can leave.  So the
+solver terminates on every input.
 Degenerate and redundant constraints are tolerated; redundant rows left
 over from phase one are dropped.
 
-Phase one gives every equality row its own artificial column of cost 1,
-which starts in the basis, so the start is B = I and d = 1.  The rows are
-the caller's own, unscaled; only the right-hand sides are put over one
-common denominator.  So for the two-body allocation LP, whose 0/+-1 matrix
-is totally unimodular, d stays 1.  Phase one depends only on the
-constraints, so it is a value of its own: `phase_one` returns a
-`FeasibleStart` (or None when the system is infeasible), and
-`minimize`/`maximize` run phase two from it.  Callers that optimise several
-objectives over one system compute the start once and pass it to every
-solve.  While the pivot entry equals the scale, the update touches only the
-rows with a nonzero in the pivot column, and in them only the nonzero
-entries of the pivot row, since artificial columns are mostly zeros; there
-is no revised-simplex machinery.
+Phase one gives every equality row its own artificial variable of cost 1,
+which starts in the basis, so the start is B = I and d = 1.  Artificials
+have no column: the tableau rows are [A | den*b] from the start, the layout
+phase two uses, and the first reduced-cost row is minus their column sums.  Only the LP's own columns can enter, and an artificial that leaves
+the basis is never needed again (Chvatal 1983, ch. 8).  The rows are the
+caller's own, unscaled; only the right-hand sides are put over one common
+denominator.  So for the two-body allocation LP, whose 0/+-1 matrix is
+totally unimodular, d stays 1.  Phase one depends only on the constraints,
+so it is a value of its own: `phase_one` returns a `FeasibleStart` (or None
+when the system is infeasible), and `minimize`/`maximize` run phase two
+from it.  Callers that optimise several objectives over one system compute
+the start once and pass it to every solve.  While the pivot entry equals
+the scale, the update touches only the rows with a nonzero in the pivot
+column, and in them only the nonzero entries of the pivot row, since the
+allocation rows are 0/+-1 and sparse; there is no revised-simplex
+machinery.
 
 A solve returns `LPSolution(value, basis)`: the optimum and the tableau
 phase two ends on, itself a `FeasibleStart` over the same rows.  An optimal
@@ -76,10 +82,11 @@ class FeasibleStart:
     A x = b is the caller's system with its integer matrix A, `den` is the
     least common denominator of the right-hand sides, B is the basic
     columns of A and d = |det B|.  So the basic columns form d*I, and the
-    value of variable `basis[i]` is `Fraction(rows[i][-1], d * den)`.  No
-    artificial column is left.  The basis a solve ends on has the same form
-    over the same rows, so either one is a valid `start` for any objective
-    over those constraints.
+    value of variable `basis[i]` is `Fraction(rows[i][-1], d * den)`.
+    Phase one never stores an artificial column, so the rows are exactly
+    `num_vars + 1` wide.  The basis a solve ends on has the same form over
+    the same rows, so either one is a valid `start` for any objective over
+    those constraints.
     """
 
     num_vars: int
@@ -122,8 +129,9 @@ def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int, d: int) -> i
     Row i becomes (p*row_i - row_i[c]*row_r) // d.  That is p times the row
     a Fraction tableau would hold after the pivot, and p is |det| of the new
     basis, so by Cramer's rule every entry is an integer and the division is
-    exact.  While p == d, rows with row_i[c] == 0 keep their values, and the
-    others change only where the pivot row is nonzero.
+    exact.  The rows hold the LP's own columns and the rhs, never an
+    artificial column.  While p == d, rows with row_i[c] == 0 keep their
+    values, and the others change only where the pivot row is nonzero.
     """
     pivot_row = rows[r]
     p = pivot_row[c]
@@ -144,24 +152,22 @@ def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int, d: int) -> i
 
 
 def _run_simplex(
-    rows: list[list[int]], basis: list[int], cost: list[int], d: int
+    rows: list[list[int]], basis: list[int], reduced: list[int], d: int
 ) -> tuple[list[int], int]:
-    """Minimize cost over the tableau at scale d in place, Bland's rule
-    throughout; returns the reduced-cost row and the final scale, or raises
+    """Minimize over the tableau at scale d in place, Bland's rule
+    throughout; returns the final reduced-cost row and scale, or raises
     ArithmeticError when the cost is unbounded below.
 
-    The reduced costs d*(cost - cost_B B^-1 M), rhs included, are one more
-    row at scale d, which pivots with the others.  Row i's ratio is
-    rows[i][-1] / rows[i][entering], compared by cross-multiplying.
+    `reduced` is d*(cost - cost_B B^-1 M), rhs included: one more row at
+    scale d, which pivots with the others.  Only the tableau's own columns
+    can enter; an artificial basic in some row has no column, so once it
+    leaves it never returns.  Row i's ratio is rows[i][-1] /
+    rows[i][entering], compared by cross-multiplying.
     """
-    reduced = [d * v for v in cost] + [0]
-    for row, b in zip(rows, basis):
-        if cost[b]:
-            reduced = [t - cost[b] * v for t, v in zip(reduced, row)]
     rows.append(reduced)
     while True:
         reduced = rows[-1]
-        entering = next((j for j in range(len(cost)) if reduced[j] < 0), None)
+        entering = next((j for j in range(len(reduced) - 1) if reduced[j] < 0), None)
         if entering is None:
             return rows.pop(), d
         # The reduced row's own entry in the entering column is negative, so
@@ -190,27 +196,28 @@ def phase_one(
     It depends on the constraints only, so one start serves every objective
     minimized or maximized over the same system.
     """
-    # Row i is constraint i's coefficients and den*rhs_i, negated with the
-    # row if it is negative; then artificial column num_vars + i of +1,
-    # basic at the start, so B = I and d = 1.  Every artificial costs 1.
-    den = lcm(*[con.rhs.denominator for con in constraints])
-    rows: list[list[int]] = []
-    for i, con in enumerate(constraints):
+    for con in constraints:
         if len(con.coeffs) != num_vars or not all(isinstance(v, int) for v in con.coeffs):
             raise ValueError(f"constraint is not {num_vars} ints: {con}")
-        b = con.rhs.numerator * (den // con.rhs.denominator)
-        row = list(con.coeffs) + [0] * len(constraints) + [b]
-        if b < 0:
-            row = [-v for v in row]
-        row[num_vars + i] = 1
-        rows.append(row)
+        if not isinstance(con.rhs, (int, Fraction)):
+            raise ValueError(f"constraint rhs is not an int or a Fraction: {con}")
+    # Row i is constraint i's coefficients and den*rhs_i, negated with the
+    # row if it is negative.  Its artificial num_vars + i is basic, so
+    # B = I and d = 1; every artificial costs 1, so the reduced row is minus
+    # the column sums.
+    den = lcm(*[con.rhs.denominator for con in constraints])
+    rows: list[list[int]] = []
+    for con in constraints:
+        row = [*con.coeffs, con.rhs.numerator * (den // con.rhs.denominator)]
+        rows.append([-v for v in row] if row[-1] < 0 else row)
     basis = list(range(num_vars, num_vars + len(rows)))
-    reduced, d = _run_simplex(rows, basis, [0] * num_vars + [1] * len(rows), 1)
+    reduced = [-sum(row[j] for row in rows) for j in range(num_vars + 1)]
+    reduced, d = _run_simplex(rows, basis, reduced, 1)
     if reduced[-1]:
         return None
     # Drive leftover artificials out of the basis; drop redundant rows.  A
     # basic artificial's column is the unit vector of its row, so dropping
-    # the row and the column leaves |det B|, and d, as they were.
+    # the row and the artificial leaves |det B|, and d, as they were.
     for i in reversed(range(len(rows))):
         if basis[i] >= num_vars:
             pivot_col = next((j for j in range(num_vars) if rows[i][j] != 0), None)
@@ -224,12 +231,7 @@ def phase_one(
                     rows[i] = [-v for v in rows[i]]
                 d = _pivot(rows, basis, i, pivot_col, d)
 
-    return FeasibleStart(
-        num_vars,
-        tuple(tuple([*row[:num_vars], row[-1]]) for row in rows),
-        tuple(basis),
-        den,
-    )
+    return FeasibleStart(num_vars, tuple(map(tuple, rows)), tuple(basis), den)
 
 
 def minimize(
@@ -258,7 +260,11 @@ def minimize(
     rows = [list(row) for row in start.rows]
     basis = list(start.basis)
     d = rows[0][basis[0]] if rows else 1
-    reduced, d = _run_simplex(rows, basis, cost, d)
+    reduced = [d * v for v in cost] + [0]
+    for row, b in zip(rows, basis):
+        if cost[b]:
+            reduced = [t - cost[b] * v for t, v in zip(reduced, row)]
+    reduced, d = _run_simplex(rows, basis, reduced, d)
     # The reduced row's rhs is -d*den*cost.x.
     return LPSolution(
         Fraction(-reduced[-1], d * start.den),

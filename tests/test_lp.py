@@ -6,6 +6,7 @@ adds one slack per inequality and drops the slacks from the point.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from dsaudit import lp
 from lp_oracle import SENSES, Row, bounds_by_vertex_enumeration
-from slack_form import maximize, minimize, phase_one
+from slack_form import _equality_form, maximize, minimize, phase_one
 
 F = Fraction
 LE, GE, EQ = "<=", ">=", "=="
@@ -68,11 +69,13 @@ _ROW = lp.LinearConstraint((1, 1), F(1, 2))
         lambda: lp.phase_one([lp.LinearConstraint((F(1, 2), 1), 1)], 2),
         lambda: lp.minimize([F(1, 2), 0], [_ROW], 2),
         lambda: lp.maximize([F(1, 2), 0], [_ROW], 2),
+        lambda: lp.phase_one([lp.LinearConstraint((1, 1), 0.5)], 2),
     ],
-    ids=["phase_one-coefficient", "minimize-objective", "maximize-objective"],
+    ids=["phase_one-coefficient", "minimize-objective", "maximize-objective", "phase_one-float-rhs"],
 )
 def test_fraction_coefficients_are_refused(call):
-    # The tableau is integer, so `//` would floor a Fraction silently.
+    # The tableau is integer, so `//` would floor a Fraction silently; a float
+    # rhs has no exact denominator to scale by.
     with pytest.raises(ValueError):
         call()
 
@@ -245,6 +248,26 @@ def test_simplex_matches_vertex_oracle_on_random_systems(system, data):
         _assert_one_scale(sol.basis)
         assert all(con.holds_at(sol.point) for con in full)
         assert sum(o * x for o, x in zip(obj, sol.point)) == sol.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_phase_one_pivots_only_the_lp_columns(system):
+    # Artificials have no column, so every row phase one pivots, the reduced
+    # row included, is the constraint's variables and its rhs.
+    constraints, width = _equality_form(*system)
+    event("negative rhs" if any(con.rhs < 0 for con in constraints) else "rhs >= 0")
+    pivot = lp._pivot
+    seen = set()
+
+    def recording(rows, *args):
+        seen.update(map(len, rows))
+        return pivot(rows, *args)
+
+    with mock.patch.object(lp, "_pivot", recording):
+        start = lp.phase_one(constraints, width)
+    event("infeasible" if start is None else f"{len(constraints) - len(start.rows)} rows dropped")
+    assert seen <= {width + 1}
 
 
 def _assert_one_scale(start):
