@@ -23,28 +23,28 @@ over from phase one are dropped.
 Phase one gives every equality row its own artificial variable of cost 1,
 which starts in the basis, so the start is B = I and d = 1.  Artificials
 have no column: the tableau rows are [A | den*b] from the start, the layout
-phase two uses, and the first reduced-cost row is minus their column sums.  Only the LP's own columns can enter, and an artificial that leaves
-the basis is never needed again (Chvatal 1983, ch. 8).  The rows are the
+phase two uses, and the first reduced-cost row is minus their column sums.
+Only the LP's own columns can enter, and an artificial that leaves the
+basis is never needed again (Chvatal 1983, ch. 8).  The rows are the
 caller's own, unscaled; only the right-hand sides are put over one common
 denominator.  So for the two-body allocation LP, whose 0/+-1 matrix is
 totally unimodular, d stays 1.  Phase one depends only on the constraints,
 so it is a value of its own: `phase_one` returns a `FeasibleStart` (or None
 when the system is infeasible), and `minimize`/`maximize` run phase two
-from it.  Callers that optimise several objectives over one system compute
-the start once and pass it to every solve.  While the pivot entry equals
-the scale, the update touches only the rows with a nonzero in the pivot
-column, and in them only the nonzero entries of the pivot row, since the
-allocation rows are 0/+-1 and sparse; there is no revised-simplex
-machinery.
+from the start they are given, never phase one.  Callers that optimise
+several objectives over one system compute the start once and pass it to
+every solve.  While the pivot entry equals the scale, the update touches
+only the rows with a nonzero in the pivot column, and in them only the
+nonzero entries of the pivot row, since the allocation rows are 0/+-1 and
+sparse; there is no revised-simplex machinery.
 
 A solve returns `LPSolution(value, basis)`: the optimum and the tableau
 phase two ends on, itself a `FeasibleStart` over the same rows.  An optimal
 basis of one objective is feasible for every other, so it is a valid
 `start` for the next solve over the same constraints.  The witness point
 is read off a basis on demand (`FeasibleStart.point`).  There is no status:
-an infeasible system is `phase_one(...) is None`, and `minimize`/`maximize`
-without a start return None for it; an unbounded objective raises
-`ArithmeticError`.
+an infeasible system is `phase_one(...) is None`, and an unbounded
+objective raises `ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import ClassVar, Sequence
 
@@ -197,7 +198,7 @@ def phase_one(
     minimized or maximized over the same system.
     """
     for con in constraints:
-        if len(con.coeffs) != num_vars or not all(isinstance(v, int) for v in con.coeffs):
+        if len(con.coeffs) != num_vars or not all(map(isinstance, con.coeffs, repeat(int))):
             raise ValueError(f"constraint is not {num_vars} ints: {con}")
         if not isinstance(con.rhs, (int, Fraction)):
             raise ValueError(f"constraint rhs is not an int or a Fraction: {con}")
@@ -211,7 +212,7 @@ def phase_one(
         row = [*con.coeffs, con.rhs.numerator * (den // con.rhs.denominator)]
         rows.append([-v for v in row] if row[-1] < 0 else row)
     basis = list(range(num_vars, num_vars + len(rows)))
-    reduced = [-sum(row[j] for row in rows) for j in range(num_vars + 1)]
+    reduced = [-sum(col) for col in zip(*rows)] if rows else [0] * (num_vars + 1)
     reduced, d = _run_simplex(rows, basis, reduced, 1)
     if reduced[-1]:
         return None
@@ -238,23 +239,20 @@ def minimize(
     objective: Sequence[int],
     constraints: Sequence[LinearConstraint],
     num_vars: int,
-    start: FeasibleStart | None = None,
-) -> LPSolution | None:
+    start: FeasibleStart,
+) -> LPSolution:
     """Minimize objective . x subject to the constraints and x >= 0.
 
-    `start`, when given, must be a feasible basis of the same constraints:
+    `start` must be a feasible basis of the same constraints:
     `phase_one(constraints, num_vars)`, or the basis of an earlier solve.
-    Without one, phase one runs first, and None is returned when the system
-    is infeasible.  Raises ArithmeticError when the objective is unbounded.
+    Raises ArithmeticError when the objective is unbounded.  The solve reads
+    the rows of `start` only; `constraints` stays in the signature because
+    bench/dsbench/trace.py binds it by name.
     """
     cost = list(objective)
-    if len(cost) != num_vars or not all(isinstance(c, int) for c in cost):
+    if len(cost) != num_vars or not all(map(isinstance, cost, repeat(int))):
         raise ValueError(f"objective is not {num_vars} ints")
-    if start is None:
-        start = phase_one(constraints, num_vars)
-        if start is None:
-            return None
-    elif start.num_vars != num_vars:
+    if start.num_vars != num_vars:
         raise ValueError("start was built for a different num_vars")
 
     rows = [list(row) for row in start.rows]
@@ -276,9 +274,9 @@ def maximize(
     objective: Sequence[int],
     constraints: Sequence[LinearConstraint],
     num_vars: int,
-    start: FeasibleStart | None = None,
-) -> LPSolution | None:
+    start: FeasibleStart,
+) -> LPSolution:
     """Maximize objective . x subject to the constraints and x >= 0; see
     `minimize`."""
     sol = minimize([-c for c in objective], constraints, num_vars, start)
-    return None if sol is None else LPSolution(-sol.value, sol.basis)
+    return LPSolution(-sol.value, sol.basis)

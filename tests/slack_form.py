@@ -57,18 +57,16 @@ def phase_one(rows, num_vars: int) -> lp.FeasibleStart | None:
     return lp.phase_one(*_equality_form(rows, num_vars))
 
 
-def minimize(objective, rows, num_vars: int, start=None) -> Solution | None:
+def minimize(objective, rows, num_vars: int, start: lp.FeasibleStart) -> Solution:
     return _solve(lp.minimize, objective, rows, num_vars, start)
 
 
-def maximize(objective, rows, num_vars: int, start=None) -> Solution | None:
+def maximize(objective, rows, num_vars: int, start: lp.FeasibleStart) -> Solution:
     return _solve(lp.maximize, objective, rows, num_vars, start)
 
 
-def _solve(solver, objective, rows, num_vars, start):
+def _solve(solver, objective, rows, num_vars, start) -> Solution:
     constraints, width = _equality_form(rows, num_vars)
     cost, scale = _integer_scale(objective)
     sol = solver(cost + [0] * (width - num_vars), constraints, width, start)
-    if sol is None:
-        return None
     return Solution(sol.value / scale, sol.point[:num_vars], sol.basis)

@@ -217,6 +217,7 @@ def test_bounds_are_attained_by_feasible_distributions(quasi_bodies_pair, abc):
     # row of the two-sided system exactly, with P(s) equal to the bound.
     system = build_constraints(list(quasi_bodies_pair))
     two_sided = two_sided_system(list(quasi_bodies_pair))
+    start = slack_form.phase_one(two_sided, abc.size)
     for s in enumerate_subsets(abc):
         objective = tuple(
             F(1) if s.bits >> i & 1 else F(0) for i in range(abc.size)
@@ -226,7 +227,7 @@ def test_bounds_are_attained_by_feasible_distributions(quasi_bodies_pair, abc):
             (slack_form.minimize, interval.lower),
             (slack_form.maximize, interval.upper),
         ):
-            sol = solver(objective, two_sided, abc.size)
+            sol = solver(objective, two_sided, abc.size, start)
             assert sol.value == bound
             assert all(con.holds_at(sol.point) for con in two_sided)
             assert sum(o * x for o, x in zip(objective, sol.point)) == bound
@@ -343,7 +344,8 @@ def test_audit_bounds_equal_direct_solves(bodies_):
 def test_chained_solves_equal_cold_solves(bodies_):
     # Allocation systems shaped like the audit-random benchmark's: each
     # target's min starts from the previous min's basis and its max from the
-    # previous max's, and every value equals a cold solve's.
+    # previous max's, and every value equals a cold solve's: one from the
+    # system's own phase-one start.
     system = build_constraints(bodies_)
     event("feasible" if system.feasible else "infeasible")
     if not system.feasible:
@@ -354,7 +356,7 @@ def test_chained_solves_equal_cold_solves(bodies_):
         objective = [1 if k == 0 and s.bits >> w & 1 else 0 for k, w in system.owners]
         for solver, start in chains.items():
             sol = solver(objective, rows, n, start)
-            assert sol.value == solver(objective, rows, n).value
+            assert sol.value == solver(objective, rows, n, system.start).value
             point = sol.point
             assert all(sum(a * x for a, x in zip(con.coeffs, point)) == con.rhs for con in rows)
             chains[solver] = sol.basis
