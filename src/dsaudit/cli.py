@@ -21,7 +21,7 @@ import click
 from .combine import TotalConflictError, combine_many
 from .consistency import ConsistencyReport, Verdict, audit as run_audit
 from .documents import DocumentError, EvidenceDocument, load_document
-from .evidence import BodyOfEvidence, EvidenceError, as_mass
+from .evidence import BodyOfEvidence, EvidenceError
 from .frames import FocalSet, Frame, FrameError, enumerate_subsets, subset
 from .measures import MeasureKind, belief, mass_from_belief, measure_table, plausibility
 from .repro import run_reproduction
@@ -36,6 +36,9 @@ EXIT_INFEASIBLE = 5
 MAX_TABLE_ELEMENTS = 16
 
 _FORMATS = click.Choice(["table", "csv", "json"])
+
+# The families `sweep` takes, by their command-line names.
+_FAMILIES = {"partition-xy": Family.PARTITION_XY, "quasi-x-xbar-y": Family.QUASI_X_XBAR_Y}
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -244,18 +247,15 @@ def cmd_audit(path: str, fmt: str, body_names: tuple[str, ...]) -> None:
 )
 @click.option("--full-3d", is_flag=True, help="Sweep xbar over the full grid too.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
-@click.argument("family", type=click.Choice(["partition-xy", "quasi-x-xbar-y"]))
+@click.argument("family", type=click.Choice(list(_FAMILIES)))
 def cmd_sweep(
     grid_density: int, xbar_slices: str, full_3d: bool, output: str, family: str
 ) -> None:
     """Audit a parametric family over an exact grid and write CSV."""
-    fam = Family.PARTITION_XY if family == "partition-xy" else Family.QUASI_X_XBAR_Y
     try:
-        slices = tuple(as_mass(tok) for tok in xbar_slices.split(","))
+        result = run_sweep(_FAMILIES[family], grid_density, xbar_slices.split(","), full_3d=full_3d)
     except EvidenceError as exc:
         _fail(EXIT_INPUT_ERROR, f"--xbar-slices: {exc}")
-    try:
-        result = run_sweep(fam, grid_density, xbar_slices=slices, full_3d=full_3d)
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     text = sweep_to_csv(result)

@@ -103,14 +103,23 @@ class FocalSet:
 def make_frame(labels: Sequence[str]) -> Frame:
     """Build a frame with the given element ordering.
 
-    Raises FrameError on duplicates, empty input, more than
-    ``FRAME_SIZE_CAP`` labels, or a label containing ``,``, ``{`` or ``}``.
+    Raises FrameError on a bare string (which would read as one label per
+    character), duplicates, empty input, more than ``FRAME_SIZE_CAP``
+    labels, or a label containing ``,``, ``{`` or ``}``.
     """
+    if isinstance(labels, str):
+        raise FrameError(f"a frame takes a sequence of labels, not the string {labels!r}")
     return Frame(tuple(labels))
 
 
 def subset(frame: Frame, members: Sequence[str]) -> FocalSet:
-    """The subset of ``frame`` containing exactly the listed labels."""
+    """The subset of ``frame`` containing exactly the listed labels.
+
+    Raises FrameError on a bare string in place of the label sequence, or
+    on a label the frame does not have.
+    """
+    if isinstance(members, str):
+        raise FrameError(f"a subset takes a sequence of labels, not the string {members!r}")
     bits = 0
     for label in members:
         bits |= 1 << frame.index(label)

@@ -23,9 +23,7 @@ from .sweeps import (
     FamilySpec,
     closed_form_masses,
     instantiate,
-    partition_spec,
     quasi_balance_equation_holds,
-    quasi_spec,
     sweep,
     zadeh_fixture,
 )
@@ -63,7 +61,7 @@ def run_reproduction() -> list[CheckResult]:
     # Partition case: masses {1/4, 3/4} on ({a},{b,c}) vs {1/2, 1/2} on
     # ({a,b},{c}).  Combined masses 1/7, 3/7, 3/7 with kappa 1/8; the derived
     # probabilities are the incompatible points 1/4, 1/4, 1/2.
-    spec = partition_spec(Fraction(1, 4), Fraction(1, 2))
+    spec = FamilySpec(Fraction(1, 4), None, Fraction(1, 2))
     report = audit(list(instantiate(spec)))
     combined = report.combined
     checks.append(_check("partition-case kappa", Fraction(1, 8), report.kappa))
@@ -101,7 +99,7 @@ def run_reproduction() -> list[CheckResult]:
 
     # Quasi-partition case at x=1/4, xbar=1/2, y=1/2: the DS interval for {b}
     # and the probability interval for {b} do not even overlap.
-    q_spec = quasi_spec(Fraction(1, 4), Fraction(1, 2), Fraction(1, 2))
+    q_spec = FamilySpec(Fraction(1, 4), Fraction(1, 2), Fraction(1, 2))
     q_report = audit(list(instantiate(q_spec)))
     q_combined = q_report.combined
     for s, want in [

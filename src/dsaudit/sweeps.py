@@ -11,7 +11,9 @@ Both built-in families live over the frame {a, b, c} and share B:
   kappa = 0.
 
 Grid points are exact rationals i/N, so both characterizations are decidable
-equalities at every point.
+equalities at every point.  A point of either family is one ``FamilySpec``;
+``sweep`` is the one reader of a sweep's inputs (the family, the density and
+the xbar slices).
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def family_frame():
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A point in one of the parametric families; xbar is None for partition-xy.
+    """A point in one of the parametric families: ``FamilySpec(x, None, y)``
+    on partition-xy, ``FamilySpec(x, xbar, y)`` on quasi-x-xbar-y.
 
     Each parameter is read by ``as_mass``, so a float, a bool or an
     oversized exponent is refused with ValueError.
@@ -86,16 +89,6 @@ class FamilySpec:
     def bc_mass(self) -> Fraction:
         """The mass A puts on {b,c}: xbar, or 1 - x on the partition slice."""
         return 1 - self.x if self.xbar is None else self.xbar
-
-
-def partition_spec(x: Fraction, y: Fraction) -> FamilySpec:
-    """A partition-xy point."""
-    return FamilySpec(x, None, y)
-
-
-def quasi_spec(x: Fraction, xbar: Fraction, y: Fraction) -> FamilySpec:
-    """A quasi-x-xbar-y point."""
-    return FamilySpec(x, xbar, y)
 
 
 def instantiate(spec: FamilySpec) -> tuple[BodyOfEvidence, BodyOfEvidence]:
@@ -131,7 +124,7 @@ def quasi_balance_equation_holds(x: Fraction, y: Fraction) -> bool | None:
     point x=1, y=0 where the right-hand side is undefined (kappa = 1).
     """
     try:
-        forms = closed_form_masses(quasi_spec(x, Fraction(0), y))
+        forms = closed_form_masses(FamilySpec(x, Fraction(0), y))
     except TotalConflictError:
         return None
     return 1 - y == forms.get(_C, 0)
@@ -198,21 +191,27 @@ def _evaluate_point(spec: FamilySpec) -> SweepPoint:
 def sweep(
     family: Family,
     grid_density: int,
-    xbar_slices: Sequence[Fraction] = DEFAULT_XBAR_SLICES,
+    xbar_slices: Sequence[Fraction | int | str] = DEFAULT_XBAR_SLICES,
     full_3d: bool = False,
 ) -> SweepResult:
     """Audit every grid point i/N of the family's parameter space.
 
     The quasi family is swept per xbar slice (or over the full 3-D grid when
     ``full_3d``) at the x values with x + xbar <= 1.  Points are visited in
-    canonical grid order, so output is deterministic.  Each xbar slice is
-    read by ``as_mass``, the package's mass parser.  Raises ValueError,
-    before any audit, on a density that is not an int, below 2 or of
+    canonical grid order, so output is deterministic.  ``family`` must be a
+    ``Family`` member.  Each xbar slice is read by ``as_mass``, the
+    package's mass parser, so a slice may be a Fraction, an int or a string
+    such as "1/4".  Raises ValueError, before any audit, on a ``family``
+    that is not a ``Family``, a density that is not an int, below 2 or of
     MAX_SWEEP_POINTS or more (checked first, so nothing is built for it),
-    an xbar slice that ``as_mass`` refuses (a float, say) or that is
-    negative (in every mode, even where the slices are unused), or a sweep
-    of more than MAX_SWEEP_POINTS points.
+    an xbar slice that is negative (in every mode, even where the slices
+    are unused), or a sweep of more than MAX_SWEEP_POINTS points.  A slice
+    that ``as_mass`` refuses (a float, say, or "0.5.5") raises its
+    EvidenceError, a ValueError; slice parsing is the only source of
+    EvidenceError here.
     """
+    if not isinstance(family, Family):
+        raise ValueError(f"family must be a Family, not {family!r}")
     if not isinstance(grid_density, int) or isinstance(grid_density, bool):
         raise ValueError(f"grid density must be an int, not {type(grid_density).__name__}")
     if grid_density < 2:

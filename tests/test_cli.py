@@ -313,6 +313,16 @@ def test_sweep_bad_xbar_slice_exits_2(runner, tmp_path):
     assert "--xbar-slices: cannot parse mass '0.5.5'" in result.stderr
 
 
+def test_sweep_bad_density_and_slice_reports_the_density_first(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["sweep", "quasi-x-xbar-y", "--grid", "1", "--xbar-slices", "1/4,0.5.5",
+         "-o", str(tmp_path / "q.csv")],
+    )
+    assert result.exit_code == 2
+    assert result.stderr == "error: grid density must be at least 2\n"
+
+
 def test_sweep_to_unwritable_path_exits_2(runner, tmp_path):
     out = tmp_path / "missing" / "s.csv"
     result = runner.invoke(main, ["sweep", "partition-xy", "--grid", "3", "-o", str(out)])

@@ -64,6 +64,18 @@ def test_subset_unknown_label():
         subset(frame, ["z"])
 
 
+def test_make_frame_refuses_a_bare_string():
+    # "abc" is one string, not the labels a, b, c.
+    with pytest.raises(FrameError, match="not the string 'abc'"):
+        make_frame("abc")
+
+
+def test_subset_refuses_a_bare_string():
+    frame = make_frame(["a", "b", "c"])
+    with pytest.raises(FrameError, match="not the string 'ab'"):
+        subset(frame, "ab")
+
+
 AB = make_frame(["a", "b"])
 BA = make_frame(["b", "a"])
 

@@ -23,15 +23,14 @@ from dsaudit import (
     sweep_to_csv,
 )
 from dsaudit import sweeps
+from dsaudit.cli import _FAMILIES
 from dsaudit.consistency import ProbabilityInterval, _verdict
 from dsaudit.evidence import StructureTag, classify, make_body
 from dsaudit.sweeps import (
     FamilySpec,
     closed_form_masses,
     instantiate,
-    partition_spec,
     quasi_balance_equation_holds,
-    quasi_spec,
     zadeh_fixture,
 )
 
@@ -39,7 +38,7 @@ F = Fraction
 
 
 def test_instantiate_partition_point():
-    a, b = instantiate(partition_spec(F(1, 4), F(1, 2)))
+    a, b = instantiate(FamilySpec(F(1, 4), None, F(1, 2)))
     frame = a.frame
     assert a.mass_of(subset(frame, ["a"])) == F(1, 4)
     assert a.mass_of(subset(frame, ["b", "c"])) == F(3, 4)
@@ -48,7 +47,7 @@ def test_instantiate_partition_point():
 
 
 def test_instantiate_quasi_point():
-    a, b = instantiate(quasi_spec(F(1, 4), F(1, 2), F(1, 2)))
+    a, b = instantiate(FamilySpec(F(1, 4), F(1, 2), F(1, 2)))
     frame = a.frame
     assert a.mass_of(frame.universe()) == F(1, 4)
     assert classify(a) is StructureTag.QUASI_PARTITION
@@ -56,27 +55,24 @@ def test_instantiate_quasi_point():
 
 
 def test_instantiate_drops_zero_masses():
-    a, _ = instantiate(partition_spec(F(0), F(1, 3)))
+    a, _ = instantiate(FamilySpec(F(0), None, F(1, 3)))
     frame = a.frame
     assert a.focal_sets() == (subset(frame, ["b", "c"]),)
 
 
 def test_spec_validation():
     invalid = [
-        lambda: partition_spec(F(5, 4), F(1, 2)),
-        lambda: quasi_spec(F(3, 4), F(1, 2), F(1, 2)),  # x + xbar > 1
-        lambda: partition_spec(F(-1, 4), F(1, 2)),
-        lambda: quasi_spec(F(-1, 4), F(1, 2), F(1, 2)),
-        lambda: partition_spec(F(1, 4), F(-1, 2)),
-        lambda: quasi_spec(F(1, 4), F(1, 2), F(-1, 2)),
+        lambda: FamilySpec(F(5, 4), None, F(1, 2)),
+        lambda: FamilySpec(F(3, 4), F(1, 2), F(1, 2)),  # x + xbar > 1
+        lambda: FamilySpec(F(-1, 4), None, F(1, 2)),
+        lambda: FamilySpec(F(-1, 4), F(1, 2), F(1, 2)),
+        lambda: FamilySpec(F(1, 4), None, F(-1, 2)),
+        lambda: FamilySpec(F(1, 4), F(1, 2), F(-1, 2)),
         # Not masses: as_mass refuses them, though each reads as one in [0, 1].
-        lambda: partition_spec(0.1, F(1, 2)),
-        lambda: partition_spec(F(1, 4), True),
-        lambda: partition_spec("1e-3000000", "1/2"),
-        # Built directly, the spec reads its parameters the same way.
         lambda: FamilySpec(0.1, None, F(1, 2)),
+        lambda: FamilySpec(F(1, 4), None, True),
         lambda: FamilySpec(F(1, 4), True, F(1, 2)),
-        lambda: FamilySpec("1e-3000000", None, F(1, 2)),
+        lambda: FamilySpec("1e-3000000", None, "1/2"),
     ]
     for make in invalid:
         with pytest.raises(ValueError):
@@ -87,7 +83,7 @@ def test_partition_family_is_the_xbar_one_minus_x_slice():
     grid = [F(i, 6) for i in range(7)]
     for x in grid:
         for y in grid:
-            partition, quasi = partition_spec(x, y), quasi_spec(x, 1 - x, y)
+            partition, quasi = FamilySpec(x, None, y), FamilySpec(x, 1 - x, y)
             assert instantiate(partition) == instantiate(quasi)
             if x == 1 and y == 0:
                 for spec in (partition, quasi):
@@ -98,7 +94,7 @@ def test_partition_family_is_the_xbar_one_minus_x_slice():
 
 
 def test_closed_forms_partition_example():
-    forms = closed_form_masses(partition_spec(F(1, 4), F(1, 2)))
+    forms = closed_form_masses(FamilySpec(F(1, 4), None, F(1, 2)))
     frame = make_frame(["a", "b", "c"])
     assert forms == {
         subset(frame, ["a"]): F(1, 7),
@@ -108,7 +104,7 @@ def test_closed_forms_partition_example():
 
 
 def test_closed_forms_quasi_example():
-    forms = closed_form_masses(quasi_spec(F(1, 4), F(1, 2), F(1, 2)))
+    forms = closed_form_masses(FamilySpec(F(1, 4), F(1, 2), F(1, 2)))
     frame = make_frame(["a", "b", "c"])
     assert forms[subset(frame, ["a", "b"])] == F(1, 7)
     assert forms[subset(frame, ["c"])] == F(3, 7)
@@ -116,7 +112,7 @@ def test_closed_forms_quasi_example():
 
 def test_closed_forms_degenerate_point_is_total_conflict():
     with pytest.raises(TotalConflictError):
-        closed_form_masses(partition_spec(F(1), F(0)))
+        closed_form_masses(FamilySpec(F(1), None, F(0)))
 
 
 def symbolic_check(spec):
@@ -130,7 +126,7 @@ def symbolic_check(spec):
 
 
 def test_symbolic_check_agrees_at_boundary():
-    forms, combined = symbolic_check(partition_spec(F(0), F(1, 3)))
+    forms, combined = symbolic_check(FamilySpec(F(0), None, F(1, 3)))
     frame = combined.frame
     assert forms == {
         subset(frame, ["b"]): F(1, 3),
@@ -144,9 +140,9 @@ def test_symbolic_check_partition_on_grid(i, j):
     x, y = F(i, 12), F(j, 12)
     if x == 1 and y == 0:
         with pytest.raises(TotalConflictError):
-            symbolic_check(partition_spec(x, y))
+            symbolic_check(FamilySpec(x, None, y))
         return
-    forms, combined = symbolic_check(partition_spec(x, y))
+    forms, combined = symbolic_check(FamilySpec(x, None, y))
     assert sum(forms.values()) == 1
 
 
@@ -158,7 +154,7 @@ def test_symbolic_check_quasi_on_grid(i, k, j):
         return
     if x == 1 and y == 0:
         return
-    forms, combined = symbolic_check(quasi_spec(x, xbar, y))
+    forms, combined = symbolic_check(FamilySpec(x, xbar, y))
     assert sum(forms.values()) == 1
 
 
@@ -300,7 +296,7 @@ def test_closed_form_of_the_bc_cell_matches_the_lp():
         if x + xbar > 1:
             continue
         forms = _closed_form_bounds(x, xbar, y)
-        system = build_constraints(list(instantiate(quasi_spec(x, xbar, y))))
+        system = build_constraints(list(instantiate(FamilySpec(x, xbar, y))))
         interval = probability_bounds(system, bc)
         if forms is None:
             assert not interval.feasible
@@ -313,7 +309,7 @@ def _closed_form_verdicts(x, xbar, y):
     combined masses' closed form, the probability side from the intervals'
     closed form."""
     frame = sweeps.family_frame()
-    masses = closed_form_masses(quasi_spec(x, xbar, y))
+    masses = closed_form_masses(FamilySpec(x, xbar, y))
     tag = classify(make_body(frame, masses.items()))
     forms = _closed_form_bounds(x, xbar, y)
     verdicts = []
@@ -385,6 +381,16 @@ def test_sweep_rejects_bad_input():
         sweep(Family.QUASI_X_XBAR_Y, 2, xbar_slices=[0.1])
 
 
+@pytest.mark.parametrize("family", ["PartitionXY", None])
+def test_sweep_refuses_a_family_that_is_not_a_family_before_any_audit(monkeypatch, family):
+    def no_audit(*args, **kwargs):
+        raise AssertionError("an audit ran for a family that is not a Family")
+
+    monkeypatch.setattr(sweeps, "audit", no_audit)
+    with pytest.raises(ValueError, match="family must be a Family"):
+        sweep(family, 2)
+
+
 def test_sweep_refuses_a_negative_xbar_slice_before_any_audit(monkeypatch):
     def no_audit(*args, **kwargs):
         raise AssertionError("an audit ran for a negative xbar slice")
@@ -452,10 +458,15 @@ def test_sweep_csv_deterministic_and_well_formed():
     assert "." not in text1.replace("...", "")
 
 
+def test_sweep_reads_string_slices_as_their_fractions():
+    as_strings = sweep(Family.QUASI_X_XBAR_Y, 4, xbar_slices=["0", "1/2"])
+    as_fractions = sweep(Family.QUASI_X_XBAR_Y, 4, xbar_slices=[F(0), F(1, 2)])
+    assert sweep_to_csv(as_strings) == sweep_to_csv(as_fractions)
+
+
 SWEEP_DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "sweep_digests.json").read_text(encoding="utf-8")
 )
-FAMILY_NAMES = {"partition-xy": Family.PARTITION_XY, "quasi-x-xbar-y": Family.QUASI_X_XBAR_Y}
 
 
 @pytest.mark.parametrize("case", SWEEP_DIGESTS, ids=lambda c: c["name"])
@@ -466,7 +477,7 @@ def test_sweep_csv_bytes_are_pinned(case):
         options["full_3d"] = case["full_3d"]
     if "xbar_slices" in case:
         options["xbar_slices"] = [F(s) for s in case["xbar_slices"]]
-    text = sweep_to_csv(sweep(FAMILY_NAMES[case["family"]], case["grid"], **options))
+    text = sweep_to_csv(sweep(_FAMILIES[case["family"]], case["grid"], **options))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == case["sha256"]
 
 
