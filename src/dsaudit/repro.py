@@ -1,8 +1,10 @@
-"""Built-in reproduction checks for the published counterexamples.
+"""Built-in reproduction checks for the paper's fixed cases.
 
-Each check compares a frozen expected value against what the library computes
-from scratch, so the `paper-repro` command needs no external files and fails
-loudly if any behavior drifts.
+This module is the one home of the three fixed cases: the partition and
+quasi-partition cases (one point of each ``sweeps`` family) and Zadeh's
+near-contradictory pair.  Each check compares a frozen expected value with
+what the case's one audit returned, so the `paper-repro` command needs no
+external files and fails loudly if any behavior drifts.
 """
 
 from __future__ import annotations
@@ -10,22 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combine import TotalConflictError
-from .consistency import Verdict, audit
-from .evidence import BodyOfEvidence
-from .measures import belief, plausibility
+from .consistency import ConsistencyReport, audit
+from .evidence import make_body
+from .frames import subset
 from .sweeps import (
-    _A,
-    _AB,
-    _B,
-    _C,
     Family,
     FamilySpec,
     closed_form_masses,
+    family_frame,
     instantiate,
     quasi_balance_equation_holds,
     sweep,
-    zadeh_fixture,
 )
 
 
@@ -40,147 +37,113 @@ class CheckResult:
         return self.expected == self.actual
 
 
-def _check(label: str, expected: object, actual: object) -> CheckResult:
-    return CheckResult(label, str(expected), str(actual))
+def zadeh_fixture() -> ConsistencyReport:
+    """The classic near-contradictory pair: almost all mass on different
+    singletons, a sliver of agreement on a third.
 
-
-def _closed_forms_check(label: str, spec: FamilySpec, combined: BodyOfEvidence) -> CheckResult:
-    """The family's closed-form masses at ``spec`` against the combined body."""
-    forms = sorted(closed_form_masses(spec).items(), key=lambda kv: kv[0].bits)
-    return _check(
-        label,
-        {str(s): str(m) for s, m in combined.focal},
-        {str(s): str(m) for s, m in forms},
-    )
+    Combination concentrates everything on the sliver ({c} gets mass 1 with
+    kappa = 9999/10000); the probability constraint system derived from the
+    same two bodies is infeasible.  `paper-repro` checks both facts.
+    """
+    frame = family_frame()
+    a, b, c = (subset(frame, [label]) for label in ("a", "b", "c"))
+    first = make_body(frame, [(a, Fraction(99, 100)), (c, Fraction(1, 100))])
+    second = make_body(frame, [(b, Fraction(99, 100)), (c, Fraction(1, 100))])
+    return audit([first, second])
 
 
 def run_reproduction() -> list[CheckResult]:
     """Run every built-in fixture; returns one result per check."""
-    checks: list[CheckResult] = []
-
     # Partition case: masses {1/4, 3/4} on ({a},{b,c}) vs {1/2, 1/2} on
     # ({a,b},{c}).  Combined masses 1/7, 3/7, 3/7 with kappa 1/8; the derived
     # probabilities are the incompatible points 1/4, 1/4, 1/2.
     spec = FamilySpec(Fraction(1, 4), None, Fraction(1, 2))
     report = audit(list(instantiate(spec)))
-    combined = report.combined
-    checks.append(_check("partition-case kappa", Fraction(1, 8), report.kappa))
-    for s, want in [(_A, Fraction(1, 7)), (_B, Fraction(3, 7)), (_C, Fraction(3, 7))]:
-        checks.append(_check(f"partition-case mass {s}", want, combined.mass_of(s)))
-        checks.append(
-            _check(
-                f"partition-case mass=bel=pl on {s}",
-                True,
-                combined.mass_of(s) == belief(combined, s) == plausibility(combined, s),
-            )
-        )
-    prob_points = {_A: Fraction(1, 4), _B: Fraction(1, 4), _C: Fraction(1, 2)}
-    for finding in report.findings:
-        want = prob_points[finding.subset]
-        checks.append(
-            _check(
-                f"partition-case P({finding.subset})",
-                f"[{want}, {want}]",
-                f"[{finding.prob.lower}, {finding.prob.upper}]",
-            )
-        )
-        checks.append(
-            _check(
-                f"partition-case verdict {finding.subset}",
-                Verdict.VIOLATION.value,
-                finding.verdict.value,
-            )
-        )
-
+    masses = {str(s): m for s, m in report.combined.focal}
+    findings = {str(f.subset): f for f in report.findings}
+    partition = [
+        ("{a}", "1/7", "[1/4, 1/4]"),
+        ("{b}", "3/7", "[1/4, 1/4]"),
+        ("{c}", "3/7", "[1/2, 1/2]"),
+    ]
+    checks: list[tuple[str, object, object]] = [("partition-case kappa", "1/8", report.kappa)]
+    for name, want, _ in partition:
+        f, m = findings[name], masses.get(name, 0)
+        checks += [
+            (f"partition-case mass {name}", want, m),
+            (f"partition-case mass=bel=pl on {name}", True, f.ds_lower == f.ds_upper == m),
+        ]
+    for name, _, want in partition:
+        f = findings[name]
+        checks += [
+            (f"partition-case P({name})", want, f"[{f.prob.lower}, {f.prob.upper}]"),
+            (f"partition-case verdict {name}", "Violation", f.verdict.value),
+        ]
     # Same case via the parametric family's closed forms.
     checks.append(
-        _closed_forms_check("partition-family closed forms at (1/4, 1/2)", spec, combined)
+        (
+            "partition-family closed forms at (1/4, 1/2)",
+            {name: str(m) for name, m in masses.items()},
+            {str(s): str(m) for s, m in closed_form_masses(spec).items()},
+        )
     )
 
     # Quasi-partition case at x=1/4, xbar=1/2, y=1/2: the DS interval for {b}
     # and the probability interval for {b} do not even overlap.
     q_spec = FamilySpec(Fraction(1, 4), Fraction(1, 2), Fraction(1, 2))
     q_report = audit(list(instantiate(q_spec)))
-    q_combined = q_report.combined
-    for s, want in [
-        (_A, Fraction(1, 7)),
-        (_B, Fraction(2, 7)),
-        (_C, Fraction(3, 7)),
-        (_AB, Fraction(1, 7)),
-    ]:
-        checks.append(_check(f"quasi-case mass {s}", want, q_combined.mass_of(s)))
-    checks.append(
-        _check(
-            "quasi-case DS interval for {b}",
-            "[2/7, 3/7]",
-            f"[{belief(q_combined, _B)}, {plausibility(q_combined, _B)}]",
-        )
-    )
-    b_finding = next(f for f in q_report.findings if f.subset == _B)
-    checks.append(
-        _check(
-            "quasi-case probability interval for {b}",
-            "[0, 1/4]",
-            f"[{b_finding.prob.lower}, {b_finding.prob.upper}]",
-        )
-    )
-    checks.append(
-        _check(
-            "quasi-case verdict {b}",
-            Verdict.DISJOINT_VIOLATION.value,
-            b_finding.verdict.value,
-        )
-    )
-    assert b_finding.prob.upper is not None
-    checks.append(
-        _check(
-            "quasi-case intervals disjoint",
-            True,
-            b_finding.prob.upper < belief(q_combined, _B),
-        )
-    )
-    checks.append(
-        _closed_forms_check("quasi-family closed forms at (1/4, 1/2, 1/2)", q_spec, q_combined)
-    )
+    q_masses = {str(s): m for s, m in q_report.combined.focal}
+    for name, want in [("{a}", "1/7"), ("{b}", "2/7"), ("{c}", "3/7"), ("{a,b}", "1/7")]:
+        checks.append((f"quasi-case mass {name}", want, q_masses.get(name, 0)))
+    b = next(f for f in q_report.findings if str(f.subset) == "{b}")
+    low, high = b.prob.lower, b.prob.upper
+    checks += [
+        ("quasi-case DS interval for {b}", "[2/7, 3/7]", f"[{b.ds_lower}, {b.ds_upper}]"),
+        ("quasi-case probability interval for {b}", "[0, 1/4]", f"[{low}, {high}]"),
+        ("quasi-case verdict {b}", "DisjointViolation", b.verdict.value),
+        ("quasi-case intervals disjoint", True, high is not None and high < b.ds_lower),
+        (
+            "quasi-family closed forms at (1/4, 1/2, 1/2)",
+            {name: str(m) for name, m in q_masses.items()},
+            {str(s): str(m) for s, m in closed_form_masses(q_spec).items()},
+        ),
+    ]
 
     # Near-contradictory pair: combination puts everything on the sliver of
     # agreement, while the probability system admits no distribution at all.
-    try:
-        z_report = zadeh_fixture()
-        checks.append(_check("zadeh combined body", "{c}:1", str(z_report.combined)))
-        checks.append(_check("zadeh kappa", Fraction(9999, 10000), z_report.kappa))
-        checks.append(_check("zadeh probability system infeasible", True, not z_report.feasible))
-    except TotalConflictError as exc:
-        checks.append(_check("zadeh fixture", "ok", f"failed: {exc}"))
+    z_report = zadeh_fixture()
+    checks += [
+        ("zadeh combined body", "{c}:1", z_report.combined),
+        ("zadeh kappa", "9999/10000", z_report.kappa),
+        ("zadeh probability system infeasible", True, not z_report.feasible),
+    ]
 
     # Consistency region of the partition family on a coarse grid: exactly
-    # the x=0 row and y=1 column, which is exactly the kappa=0 set.
-    def fmt_points(pts: set[tuple[Fraction, Fraction]]) -> str:
-        return " ".join(f"({x},{y})" for x, y in sorted(pts))
-
+    # the x=0 row and y=1 column, which is exactly the kappa=0 set.  Sweep
+    # points and the grid below are both in ascending (x, y) order.
+    region = "(0,0) (0,1/4) (0,1/2) (0,3/4) (0,1) (1/4,1) (1/2,1) (3/4,1) (1,1)"
     result = sweep(Family.PARTITION_XY, 4)
-    consistent = {(p.x, p.y) for p in result.consistent}
-    expected_pts = {(Fraction(0), Fraction(i, 4)) for i in range(5)} | {
-        (Fraction(i, 4), Fraction(1)) for i in range(5)
-    }
-    checks.append(
-        _check("partition-family consistent set (N=4)", fmt_points(expected_pts), fmt_points(consistent))
-    )
-    kappa_zero = {(p.x, p.y) for p in result.points if p.kappa == 0}
-    checks.append(
-        _check("partition-family consistency = zero conflict", fmt_points(expected_pts), fmt_points(kappa_zero))
-    )
+    zero_conflict = [p for p in result.points if p.kappa == 0]
+    for label, points in [
+        ("partition-family consistent set (N=4)", result.consistent),
+        ("partition-family consistency = zero conflict", zero_conflict),
+    ]:
+        checks.append((label, region, " ".join(f"({p.x},{p.y})" for p in points)))
 
     # Forced-equality region of the quasi family: x=0, y=0, or y=1.
     grid = [Fraction(i, 4) for i in range(5)]
-    mismatches = {
-        (x, y)
+    exceptions = " ".join(
+        f"({x},{y})"
         for x in grid
         for y in grid
         if (held := quasi_balance_equation_holds(x, y)) is not None
         and held != (x == 0 or y == 0 or y == 1)
-    }
-    checks.append(
-        _check("quasi-family balance equality region (N=4)", "no exceptions", fmt_points(mismatches) or "no exceptions")
     )
-    return checks
+    checks.append(
+        (
+            "quasi-family balance equality region (N=4)",
+            "no exceptions",
+            exceptions or "no exceptions",
+        )
+    )
+    return [CheckResult(label, str(want), str(got)) for label, want, got in checks]

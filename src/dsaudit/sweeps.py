@@ -1,4 +1,4 @@
-"""Parametric two-body families, exact grid sweeps, and classic fixtures.
+"""Parametric two-body families and exact grid sweeps.
 
 Both built-in families live over the frame {a, b, c} and share B:
 
@@ -26,12 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combine import TotalConflictError
-from .consistency import (
-    ConsistencyReport,
-    ProbabilityInterval,
-    Verdict,
-    audit,
-)
+from .consistency import ProbabilityInterval, Verdict, audit
 from .evidence import BodyOfEvidence, as_mass, make_body
 from .frames import FocalSet, make_frame, subset
 
@@ -100,7 +95,8 @@ def instantiate(spec: FamilySpec) -> tuple[BodyOfEvidence, BodyOfEvidence]:
 
 
 def closed_form_masses(spec: FamilySpec) -> dict[FocalSet, Fraction]:
-    """Closed-form combined masses at the parameter point (nonzero only).
+    """Closed-form combined masses at the parameter point (nonzero only), in
+    ascending bitmask order: {a}, {b}, {a,b}, {c}.
 
     Raises TotalConflictError where the family degenerates (x=1, y=0).
     """
@@ -111,8 +107,8 @@ def closed_form_masses(spec: FamilySpec) -> dict[FocalSet, Fraction]:
     cells = {
         _A: x * y / denom,
         _B: bc * y / denom,
-        _C: (1 - x) * (1 - y) / denom,
         _AB: (1 - x - bc) * y / denom,
+        _C: (1 - x) * (1 - y) / denom,
     }
     return {s: m for s, m in cells.items() if m != 0}
 
@@ -199,16 +195,17 @@ def sweep(
     The quasi family is swept per xbar slice (or over the full 3-D grid when
     ``full_3d``) at the x values with x + xbar <= 1.  Points are visited in
     canonical grid order, so output is deterministic.  ``family`` must be a
-    ``Family`` member.  Each xbar slice is read by ``as_mass``, the
-    package's mass parser, so a slice may be a Fraction, an int or a string
-    such as "1/4".  Raises ValueError, before any audit, on a ``family``
-    that is not a ``Family``, a density that is not an int, below 2 or of
-    MAX_SWEEP_POINTS or more (checked first, so nothing is built for it),
-    an xbar slice that is negative (in every mode, even where the slices
-    are unused), or a sweep of more than MAX_SWEEP_POINTS points.  A slice
-    that ``as_mass`` refuses (a float, say, or "0.5.5") raises its
-    EvidenceError, a ValueError; slice parsing is the only source of
-    EvidenceError here.
+    ``Family`` member.  ``xbar_slices`` is a sequence, not a bare string;
+    each slice is read by ``as_mass``, the package's mass parser, so a
+    slice may be a Fraction, an int or a string such as "1/4".  Raises
+    ValueError, before any audit, on a ``family`` that is not a ``Family``,
+    a density that is not an int, below 2 or of MAX_SWEEP_POINTS or more
+    (checked first, so nothing is built for it), a bare string as
+    ``xbar_slices``, an xbar slice that is negative (in every mode, even
+    where the slices are unused), or a sweep of more than MAX_SWEEP_POINTS
+    points.  A slice that ``as_mass`` refuses (a float, say, or "0.5.5")
+    raises its EvidenceError, a ValueError; slice parsing is the only source
+    of EvidenceError here.
     """
     if not isinstance(family, Family):
         raise ValueError(f"family must be a Family, not {family!r}")
@@ -221,6 +218,8 @@ def sweep(
             f"grid density {grid_density} gives rows of {grid_density + 1} points;"
             f" the limit is {MAX_SWEEP_POINTS}"
         )
+    if isinstance(xbar_slices, str):
+        raise ValueError(f"xbar slices take a sequence, not the string {xbar_slices!r}")
     xbar_slices = [as_mass(xbar) for xbar in xbar_slices]
     negative = next((xbar for xbar in xbar_slices if xbar < 0), None)
     if negative is not None:
@@ -296,15 +295,3 @@ def sweep_to_csv(result: SweepResult) -> str:
         buf.write(f"# {coords}\n")
     return buf.getvalue()
 
-
-def zadeh_fixture() -> ConsistencyReport:
-    """The classic near-contradictory pair: almost all mass on different
-    singletons, a sliver of agreement on a third.
-
-    Combination concentrates everything on the sliver ({c} gets mass 1 with
-    kappa = 9999/10000); the probability constraint system derived from the
-    same two bodies is infeasible.  `paper-repro` checks both facts.
-    """
-    first = make_body(_FRAME, [(_A, Fraction(99, 100)), (_C, Fraction(1, 100))])
-    second = make_body(_FRAME, [(_B, Fraction(99, 100)), (_C, Fraction(1, 100))])
-    return audit([first, second])

@@ -33,7 +33,8 @@ from dsaudit import (
 from dsaudit.cli import main as cli_main
 from dsaudit.measures import MeasureKind
 from dsaudit.frames import FocalSet, enumerate_subsets
-from dsaudit.sweeps import quasi_balance_equation_holds, zadeh_fixture
+from dsaudit.repro import zadeh_fixture
+from dsaudit.sweeps import quasi_balance_equation_holds
 from lp_oracle import element_bounds_by_vertex_enumeration, two_sided_system
 from strategies import bodies, body_pairs, disjoint_support_pairs, partition_bodies
 

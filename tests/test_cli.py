@@ -1,13 +1,15 @@
 """CLI contract: subcommands, formats, exit codes, deterministic output."""
 
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from dsaudit import cli, consistency, sweeps
+from dsaudit import cli, consistency, repro, sweeps
 from dsaudit.cli import main
 from dsaudit.documents import MAX_BODIES, MAX_FOCAL_SETS, load_document
 from dsaudit.repro import CheckResult
@@ -410,6 +412,25 @@ def test_paper_repro_mismatch_exits_4(runner, monkeypatch):
     assert result.exit_code == 4
     assert "MISMATCH broken: expected 1/7, got 1/8" in result.output
     assert "1/2 checks passed" in result.output
+
+
+def test_paper_repro_reads_the_ds_intervals_off_the_audit(runner, monkeypatch):
+    # Every audit's {b} finding is given a wrong plausibility; the checks
+    # must read it from the finding, not recompute it from the combined body.
+    def skewed_audit(bodies):
+        report = consistency.audit(bodies)
+        findings = tuple(
+            dataclasses.replace(f, ds_upper=Fraction(1)) if str(f.subset) == "{b}" else f
+            for f in report.findings
+        )
+        return dataclasses.replace(report, findings=findings)
+
+    monkeypatch.setattr(repro, "audit", skewed_audit)
+    result = runner.invoke(main, ["paper-repro"])
+    assert result.exit_code == 4
+    assert "MISMATCH partition-case mass=bel=pl on {b}: expected True, got False" in result.output
+    assert "MISMATCH quasi-case DS interval for {b}: expected [2/7, 3/7], got [2/7, 1]" in result.output
+    assert "27/29 checks passed" in result.output
 
 
 def test_audit_repeated_body_name_exits_2(runner, tmp_path):

@@ -23,7 +23,7 @@ from dsaudit import (
 )
 from dsaudit import lp
 from dsaudit.frames import FocalSet, enumerate_subsets
-from dsaudit.sweeps import zadeh_fixture
+from dsaudit.repro import zadeh_fixture
 from flow_oracle import two_body_bounds
 from lp_oracle import element_bounds_by_vertex_enumeration, two_sided_system
 import slack_form

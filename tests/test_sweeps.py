@@ -26,12 +26,12 @@ from dsaudit import sweeps
 from dsaudit.cli import _FAMILIES
 from dsaudit.consistency import ProbabilityInterval, _verdict
 from dsaudit.evidence import StructureTag, classify, make_body
+from dsaudit.repro import zadeh_fixture
 from dsaudit.sweeps import (
     FamilySpec,
     closed_form_masses,
     instantiate,
     quasi_balance_equation_holds,
-    zadeh_fixture,
 )
 
 F = Fraction
@@ -456,6 +456,17 @@ def test_sweep_csv_deterministic_and_well_formed():
     assert any(ln.startswith("# consistent points") for ln in lines)
     # exact fraction strings only, never floats
     assert "." not in text1.replace("...", "")
+
+
+@pytest.mark.parametrize("slices", ["12", "0,1/2"])
+def test_sweep_refuses_a_bare_string_of_slices_before_any_audit(monkeypatch, slices):
+    # A bare string would be read one character per slice.
+    def no_audit(*args, **kwargs):
+        raise AssertionError("an audit ran for a bare string of xbar slices")
+
+    monkeypatch.setattr(sweeps, "audit", no_audit)
+    with pytest.raises(ValueError, match="xbar slices take a sequence, not the string"):
+        sweep(Family.QUASI_X_XBAR_Y, 2, xbar_slices=slices)
 
 
 def test_sweep_reads_string_slices_as_their_fractions():
