@@ -35,6 +35,7 @@ from .frames import FRAME_SIZE_CAP, Frame, FrameError, make_frame, subset
 # and gave 55454 (see the README).
 MAX_FOCAL_SETS = FRAME_SIZE_CAP
 MAX_BODIES = 4
+_ENTRY_KEYS = {"set", "mass"}
 
 
 class DocumentError(ValueError):
@@ -103,24 +104,20 @@ def parse_document(text: str, source: str = "<input>") -> EvidenceDocument:
             )
         assignments = []
         for k, entry in enumerate(entries):
-            entry_where = f"{where}, entry {k + 1}"
-            if not isinstance(entry, dict) or set(entry) != {"set", "mass"}:
+            if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
                 raise DocumentError(
-                    f"{entry_where}: expected an object with keys 'set' and 'mass'"
+                    f"{where}, entry {k + 1}: expected an object with keys 'set' and 'mass'"
                 )
             members = entry["set"]
             if not isinstance(members, list) or not all(
                 isinstance(x, str) for x in members
             ):
-                raise DocumentError(f"{entry_where}: 'set' must be a list of labels")
+                raise DocumentError(f"{where}, entry {k + 1}: 'set' must be a list of labels")
             try:
                 focal = subset(frame, members)
-            except FrameError as exc:
-                raise DocumentError(f"{entry_where}: {exc}") from None
-            try:
                 mass = as_mass(entry["mass"])
-            except EvidenceError as exc:
-                raise DocumentError(f"{entry_where}: {exc}") from None
+            except (FrameError, EvidenceError) as exc:
+                raise DocumentError(f"{where}, entry {k + 1}: {exc}") from None
             assignments.append((focal, mass))
         try:
             bodies[name] = make_body(frame, assignments)

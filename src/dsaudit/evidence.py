@@ -34,6 +34,9 @@ class EvidenceError(ValueError):
 MAX_MASS_EXPONENT = 4300
 MAX_MASS_LENGTH = 20_000
 _SHOWN = 40
+# A plain ASCII "p/q" or "n" this short holds at most 4300 digits per number,
+# so int() reads it as Fraction(text) would, without Fraction's regex.
+_PLAIN_LENGTH = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
@@ -42,7 +45,26 @@ def _shown(value: object) -> str:
     return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
 
 
+def _plain_fraction(text: str) -> Fraction | None:
+    """``text`` read by int() alone if it is a plain ASCII "p/q" with q
+    nonzero or a plain "n", of at most _PLAIN_LENGTH characters; else None."""
+    if len(text) > _PLAIN_LENGTH or not text.isascii():
+        return None
+    num, slash, den = text.partition("/")
+    if not num.isdigit() or (slash and not den.isdigit()):
+        return None
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        # A digit limit lowered below 4300: Fraction(text) reports it.
+        return None
+    return Fraction(p, q) if q else None
+
+
 def _parse_mass_string(text: str) -> Fraction:
+    plain = _plain_fraction(text)
+    if plain is not None:
+        return plain
     if len(text) > MAX_MASS_LENGTH:
         raise EvidenceError(
             f"cannot parse mass {_shown(text)}: {len(text)} characters, "
@@ -72,12 +94,13 @@ def as_mass(value: object) -> Fraction:
     rejected: a binary float silently misrepresents most decimal inputs, and
     exactness is the point of this package.
     """
+    # str first: a str fails isinstance(_, Fraction) only through the ABC machinery.
+    if isinstance(value, str):
+        return _parse_mass_string(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        return _parse_mass_string(value)
     message = (
         f"mass must be a Fraction, int, or string, not {type(value).__name__}: "
         f"{_shown(value)}"
@@ -131,23 +154,24 @@ def make_body(
     """
     seen: set[int] = set()
     kept: list[tuple[FocalSet, Fraction]] = []
-    total = Fraction(0)
     for s, raw in assignments:
         require_same_frame(frame, s.frame)
         m = as_mass(raw)
-        if m < 0:
+        if m.numerator < 0:
             raise EvidenceError(f"negative mass {m} on {s}")
         if s.bits in seen:
             raise EvidenceError(f"duplicate focal set {s}")
         seen.add(s.bits)
-        if m == 0:
+        if not m.numerator:
             continue
         if s.bits == 0:
             raise EvidenceError(f"positive mass {m} on the empty set")
         kept.append((s, m))
-        total += m
-    if total != 1:
-        raise EvidenceError(f"masses must sum to exactly 1, got {total}")
+    # The sum in ints over the least common denominator, not Fraction by Fraction.
+    den = math.lcm(*(m.denominator for _, m in kept))
+    total = sum(m.numerator * (den // m.denominator) for _, m in kept)
+    if total != den:
+        raise EvidenceError(f"masses must sum to exactly 1, got {Fraction(total, den)}")
     kept.sort(key=lambda pair: pair[0].bits)
     return BodyOfEvidence(frame, tuple(kept))
 

@@ -1,12 +1,13 @@
 """Belief, plausibility, duality, and exact mass recovery."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dsaudit import (
@@ -21,8 +22,15 @@ from dsaudit import (
     subset,
     vacuous,
 )
+from dsaudit import measures
 from dsaudit.frames import FocalSet, enumerate_subsets
-from dsaudit.measures import MeasureTable
+from dsaudit.measures import (
+    MeasureTable,
+    _packed_mobius,
+    _packed_zeta,
+    _subset_sums,
+    _unpack,
+)
 from strategies import bodies, partition_bodies
 
 
@@ -360,3 +368,212 @@ def test_belief_monotone_under_inclusion(body):
 def test_partition_focal_elements_pin_the_measures(body):
     for s, m in body.focal:
         assert belief(body, s) == m == plausibility(body, s)
+
+
+# Bit lengths of the largest drawn entry: each packed field width (1, 2, 4
+# and 8 bytes) occurs, and so do sums and entries past 63 and 64 bits.
+_ENTRY_BITS = (3, 7, 12, 15, 24, 31, 48, 62, 63, 64, 80)
+
+
+def _butterfly(table, size, sign):
+    sums = list(table)
+    _subset_sums(sums, size, sign)
+    return sums
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_kernels_match_the_butterfly(data):
+    size = data.draw(st.integers(1, 12), label="size")
+    n = 1 << size
+    frame = make_frame([f"e{i}" for i in range(size)])
+    top = 1 << data.draw(st.sampled_from(_ENTRY_BITS), label="bits")
+    entries = data.draw(
+        st.dictionaries(st.integers(0, n - 1), st.integers(0, top - 1), max_size=20),
+        label="entries",
+    )
+    if entries and data.draw(st.booleans()):
+        entries[data.draw(st.sampled_from(sorted(entries)))] = -data.draw(st.integers(1, top))
+    masses = [0] * n
+    for bits, m in entries.items():
+        masses[bits] = m
+
+    zeta = _butterfly(masses, size, 1)
+    packed = _packed_zeta([(FocalSet(frame, b), m) for b, m in entries.items()], size)
+    total = sum(entries.values())
+    if min(entries.values(), default=0) < 0 or total.bit_length() > 64:
+        assert packed is None
+        event("zeta: butterfly")
+    else:
+        chunks, width = packed
+        assert width == next(w for w in (1, 2, 4, 8) if total.bit_length() <= 8 * w)
+        assert list(_unpack(chunks, size, width)) == zeta
+        event(f"zeta: {width}-byte fields")
+
+    # A belief table when the masses are nonnegative, perturbed at one entry
+    # or not.  The field width comes from the entry the caller expects to be
+    # the largest: the true one, or any other.
+    table = zeta if min(masses) >= 0 else [abs(m) for m in masses]
+    if data.draw(st.booleans()):
+        # An index with every low bit set first goes wrong in a pass between
+        # packed chunks, once the frame has more elements than a chunk.
+        index = data.draw(st.integers(0, n - 1))
+        if data.draw(st.booleans()):
+            index = (index | 0xFF) & (n - 1)
+        table[index] += data.draw(st.integers(-top, top))
+    if data.draw(st.booleans()):
+        expected_top = max(0, *table)
+    else:
+        expected_top = data.draw(st.integers(0, 2 * top))
+    mobius = _butterfly(table, size, -1)
+    guard_bits = expected_top.bit_length() + 1
+    width = next((w for w in (1, 2, 4, 8) if guard_bits <= 8 * w), None)
+    holds = width is not None and all(0 <= v < 1 << (8 * width - 1) for v in table)
+    recovered = _packed_mobius(tuple(table), size, expected_top)
+    if holds and min(mobius) >= 0:
+        assert recovered == tuple(mobius)
+        event(f"mobius: {width}-byte fields")
+    else:
+        assert recovered is None
+        event("mobius: butterfly")
+
+
+@pytest.mark.parametrize(
+    "bits, width", [(8, 1), (16, 2), (32, 4), (64, 8), (65, None)]
+)
+def test_each_field_width_serves_a_table_whose_sum_fits_it(bits, width):
+    frame = make_frame([f"e{i}" for i in range(5)])
+    total = (1 << bits) - 1
+    scaled = [(FocalSet(frame, 3), total // 3), (FocalSet(frame, 31), total - total // 3)]
+    packed = _packed_zeta(scaled, 5)
+    if width is None:
+        assert packed is None
+        return
+    chunks, got = packed
+    assert got == width
+    masses = [0] * 32
+    for s, m in scaled:
+        masses[s.bits] = m
+    zeta = _butterfly(masses, 5, 1)
+    assert list(_unpack(chunks, 5, width)) == zeta
+    # The guard bit makes the inversion of the same table one width wider,
+    # except at 8 bytes, where a 64-bit bel(frame) leaves no room for it.
+    assert _packed_mobius(tuple(zeta), 5, total) == (
+        tuple(masses) if bits < 64 else None
+    )
+
+
+@pytest.mark.parametrize(
+    "entry, why",
+    [
+        (99, "fits under the guard bit"),
+        (200, "sets the guard bit of a 1-byte field"),
+        (300, "needs a wider field than bel(frame) does"),
+        (-1, "is negative"),
+    ],
+)
+def test_packed_inversion_takes_only_entries_under_the_guard_bit(entry, why):
+    # bel(frame) = 100 needs 7 bits, so the fields are 1 byte with a guard bit.
+    table = (0, entry, 0, 100)
+    expected = list(table)
+    _subset_sums(expected, 2, -1)
+    recovered = _packed_mobius(table, 2, 100)
+    assert recovered == (tuple(expected) if entry == 99 else None), why
+
+
+def test_a_mass_that_goes_negative_between_packed_chunks_is_named():
+    # Focal sets whose low eight bits are all set: raising bel of the first
+    # to 3/2 leaves every partial difference inside a chunk nonnegative, and
+    # the mass of the second goes negative only in the pass over element 8.
+    frame = make_frame([f"e{i}" for i in range(9)])
+    body = make_body(frame, [(FocalSet(frame, 0xFF), "1/2"), (FocalSet(frame, 0x1FF), "1/2")])
+    values = dict(measure_table(body, MeasureKind.BELIEF).values)
+    values[FocalSet(frame, 0xFF)] = Fraction(3, 2)
+    table = MeasureTable.from_values(frame, MeasureKind.BELIEF, values)
+    negative = [(s, m) for s, m in reference_masses(table).items() if m < 0]
+    assert negative == [(frame.universe(), Fraction(-1, 2))]
+    with pytest.raises(InversionError) as exc_info:
+        mass_from_belief(table)
+    assert str(exc_info.value) == (
+        f"recovered mass of {frame.universe()} is negative (-1/2); not a belief function"
+    )
+    assert exc_info.value.subset == frame.universe()
+
+
+@st.composite
+def wide_bodies(draw):
+    """Bodies on 1-12 elements whose common denominator may pass 2**64."""
+    size = draw(st.integers(1, 12))
+    frame = make_frame([f"e{i}" for i in range(size)])
+    count = draw(st.integers(1, min(12, (1 << size) - 1)))
+    masks = draw(
+        st.lists(st.integers(1, (1 << size) - 1), min_size=count, max_size=count, unique=True)
+    )
+    weights = draw(
+        st.lists(
+            st.integers(1, 1 << draw(st.sampled_from((6, 20, 40, 70, 100)))),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    scale = draw(st.lists(st.integers(1, 1 << 40), min_size=count, max_size=count))
+    raw = [Fraction(w, d) for w, d in zip(weights, scale)]
+    total = sum(raw)
+    return make_body(frame, [(FocalSet(frame, b), m / total) for b, m in zip(masks, raw)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_bodies())
+def test_wide_bodies_round_trip_through_belief(body):
+    den = math.lcm(*(m.denominator for _, m in body.focal))
+    event("den > 2**64" if den.bit_length() > 64 else "den <= 2**64")
+    bel = measure_table(body, MeasureKind.BELIEF)
+    assert mass_from_belief(bel) == body
+    pl = measure_table(body, MeasureKind.PLAUSIBILITY)
+    # pl(S) = 1 - bel(not S), and bel listed backwards lists bel(not S).
+    assert bel.den == pl.den == den
+    assert list(pl.ints) == [den - b for b in reversed(bel.ints)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bodies(), st.data())
+def test_tables_with_negative_entries_name_the_lowest_negative_mass(body, data):
+    values = dict(measure_table(body, MeasureKind.BELIEF).values)
+    inner = [s for s in values if 0 < s.bits < (1 << body.frame.size) - 1]
+    if not inner:
+        return
+    for s in data.draw(st.lists(st.sampled_from(inner), min_size=1, max_size=3, unique=True)):
+        values[s] = data.draw(st.fractions(-2, 2, max_denominator=12))
+    table = MeasureTable.from_values(body.frame, MeasureKind.BELIEF, values)
+    if min(table.ints) < 0:
+        event("negative entry")
+    reference = reference_masses(table)
+    negative = [(s, m) for s, m in reference.items() if m < 0]
+    if negative:
+        s, m = negative[0]
+        with pytest.raises(InversionError) as exc_info:
+            mass_from_belief(table)
+        assert str(exc_info.value) == (
+            f"recovered mass of {s} is negative ({m}); not a belief function"
+        )
+        assert exc_info.value.subset == s
+    else:
+        recovered = mass_from_belief(table)
+        assert recovered.focal == tuple((s, m) for s, m in reference.items() if m > 0)
+
+
+def test_packed_path_alone_serves_a_small_denominator_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the plain butterfly ran")
+
+    monkeypatch.setattr(measures, "_subset_sums", refuse)
+    frame = make_frame([f"e{i}" for i in range(10)])
+    masses = [(5, "1/6"), (700, "1/4"), (1023, "7/12")]
+    body = make_body(frame, [(FocalSet(frame, bits), m) for bits, m in masses])
+    bel = measure_table(body, MeasureKind.BELIEF)
+    pl = measure_table(body, MeasureKind.PLAUSIBILITY)
+    assert mass_from_belief(bel) == body
+    for bits in (0, 5, 7, 700, 701, 1022, 1023):
+        s = FocalSet(frame, bits)
+        assert bel.values[s] == belief(body, s)
+        assert pl.values[s] == plausibility(body, s)
