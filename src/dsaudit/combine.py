@@ -5,20 +5,24 @@ intersections and renormalizes by 1 - kappa, where kappa is the total product
 mass landing on empty intersections.  kappa = 1 (disjoint supports) is an
 error: no decision set can be formed.
 
-The products are summed as Python ints: each body's masses are scaled to the
-least common denominator of that body, so every product is an int over the
-product ``da * db`` of the two common denominators.  Only the results become
-Fractions: kappa is ``clash / (da * db)`` and each combined mass is its
-bucket over ``da * db - clash``.
+The products are summed as Python ints: each body stores its masses as ints
+over its least common denominator, so every product is an int over the
+product ``da * db`` of the two denominators.  kappa is ``clash / (da * db)``
+and each combined mass is its bucket over ``da * db - clash``; one gcd
+reduces the buckets to the combined body's least denominator.  A result
+stores bitmasks and index pairs; its ``provenance`` and ``conflict_pairs``,
+which name focal sets, are built on first read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .evidence import BodyOfEvidence, EvidenceError, integer_masses
+from .evidence import BodyOfEvidence, EvidenceError
 from .frames import FocalSet, require_same_frame
 
 
@@ -34,55 +38,64 @@ class TotalConflictError(ArithmeticError):
 class CombinationResult:
     """Outcome of one combination (or of a left fold over several bodies).
 
-    ``provenance`` maps each combined focal set to the (i, j) index pairs,
-    into the two input focal lists, whose intersections produced it.
-    ``conflict_pairs`` lists the focal-set pairs with empty intersection.
-    For folds, ``steps`` records each pairwise result in order; it is
-    excluded from equality so a two-body fold compares equal to the plain
-    pairwise combination.
+    ``sources`` maps each combined focal set's bitmask to the (i, j) index
+    pairs, into the two input focal lists, whose intersections produced it;
+    ``clashes`` lists the bitmask pairs with empty intersection.  The views
+    ``provenance`` (the same map keyed by FocalSet) and ``conflict_pairs``
+    (the clashing FocalSet pairs) are built on first read.  For folds,
+    ``steps`` records each pairwise result in order; it is excluded from
+    equality so a two-body fold compares equal to the plain pairwise
+    combination.
     """
 
     combined: BodyOfEvidence
     kappa: Fraction
-    provenance: Mapping[FocalSet, tuple[tuple[int, int], ...]]
-    conflict_pairs: tuple[tuple[FocalSet, FocalSet], ...]
+    sources: Mapping[int, Sequence[tuple[int, int]]]
+    clashes: tuple[tuple[int, int], ...]
     steps: tuple["CombinationResult", ...] = field(default=(), compare=False)
+
+    @cached_property
+    def provenance(self) -> Mapping[FocalSet, tuple[tuple[int, int], ...]]:
+        sources = self.sources
+        return {s: tuple(sources[s.bits]) for s, _ in self.combined.focal if s.bits in sources}
+
+    @cached_property
+    def conflict_pairs(self) -> tuple[tuple[FocalSet, FocalSet], ...]:
+        frame = self.combined.frame
+        sets = {bits: FocalSet(frame, bits) for bits in {b for pair in self.clashes for b in pair}}
+        return tuple((sets[s], sets[t]) for s, t in self.clashes)
 
 
 def _products(
     a: BodyOfEvidence, b: BodyOfEvidence
-) -> tuple[
-    int, int, dict[int, int], dict[int, list[tuple[int, int]]], list[tuple[FocalSet, FocalSet]]
-]:
+) -> tuple[int, int, dict[int, int], dict[int, list[tuple[int, int]]], list[tuple[int, int]]]:
     """Every pairwise product of the two bodies' masses, as an int over ``whole``.
 
-    Returns ``(whole, clash, buckets, provenance, conflicts)``: ``whole`` is
+    Returns ``(whole, clash, buckets, sources, clashes)``: ``whole`` is
     ``da * db``; ``clash`` totals the products on empty intersections, whose
-    focal-set pairs ``conflicts`` lists in loop order; ``buckets`` maps each
-    non-empty intersection's bitmask to its product total and ``provenance``
+    bitmask pairs ``clashes`` lists in loop order; ``buckets`` maps each
+    non-empty intersection's bitmask to its product total and ``sources``
     to its (i, j) pairs.
     """
     require_same_frame(a.frame, b.frame)
-    da, a_scaled = integer_masses(a)
-    db, b_scaled = integer_masses(b)
     clash = 0
     buckets: dict[int, int] = {}
-    provenance: dict[int, list[tuple[int, int]]] = {}
-    conflicts: list[tuple[FocalSet, FocalSet]] = []
-    for i, (s, ms) in enumerate(a_scaled):
-        s_bits = s.bits
-        for j, (t, mt) in enumerate(b_scaled):
-            inter = s_bits & t.bits
+    sources: dict[int, list[tuple[int, int]]] = {}
+    clashes: list[tuple[int, int]] = []
+    b_masses = b.masses
+    for i, (s, ms) in enumerate(a.masses):
+        for j, (t, mt) in enumerate(b_masses):
+            inter = s & t
             if inter == 0:
                 clash += ms * mt
-                conflicts.append((s, t))
+                clashes.append((s, t))
             elif inter in buckets:
                 buckets[inter] += ms * mt
-                provenance[inter].append((i, j))
+                sources[inter].append((i, j))
             else:
                 buckets[inter] = ms * mt
-                provenance[inter] = [(i, j)]
-    return da * db, clash, buckets, provenance, conflicts
+                sources[inter] = [(i, j)]
+    return a.den * b.den, clash, buckets, sources, clashes
 
 
 def conflict(a: BodyOfEvidence, b: BodyOfEvidence) -> Fraction:
@@ -103,7 +116,7 @@ def combine(a: BodyOfEvidence, b: BodyOfEvidence) -> CombinationResult:
     bitmask order, on the inputs' checked frame.  The one fact construction
     does not give, that the buckets hold all the mass kappa leaves, is checked.
     """
-    whole, clash, buckets, provenance, conflicts = _products(a, b)
+    whole, clash, buckets, sources, clashes = _products(a, b)
     scale = whole - clash
     if scale == 0:
         raise TotalConflictError(
@@ -116,15 +129,10 @@ def combine(a: BodyOfEvidence, b: BodyOfEvidence) -> CombinationResult:
             f"combined masses must sum to exactly 1, got {Fraction(total, scale)}: "
             "the input masses do not sum to 1"
         )
-    frame = a.frame
-    focal = []
-    prov = {}
-    for bits in sorted(buckets):
-        s = FocalSet(frame, bits)
-        focal.append((s, Fraction(buckets[bits], scale)))
-        prov[s] = tuple(provenance[bits])
-    combined = BodyOfEvidence(frame, tuple(focal))
-    return CombinationResult(combined, Fraction(clash, whole), prov, tuple(conflicts))
+    g = math.gcd(scale, *buckets.values())
+    masses = tuple((bits, buckets[bits] // g) for bits in sorted(buckets))
+    combined = BodyOfEvidence(a.frame, scale // g, masses)
+    return CombinationResult(combined, Fraction(clash, whole), sources, tuple(clashes))
 
 
 def combine_many(bodies: Sequence[BodyOfEvidence]) -> CombinationResult:
@@ -152,6 +160,4 @@ def combine_many(bodies: Sequence[BodyOfEvidence]) -> CombinationResult:
     if not steps:
         return CombinationResult(acc, Fraction(0), {}, ())
     last = steps[-1]
-    return CombinationResult(
-        last.combined, last.kappa, last.provenance, last.conflict_pairs, tuple(steps)
-    )
+    return CombinationResult(last.combined, last.kappa, last.sources, last.clashes, tuple(steps))

@@ -130,9 +130,7 @@ def build_constraints(
         raise ValueError(f"{len(names)} names for {len(bodies)} bodies")
 
     n = frame.size
-    width = sum(
-        s.bits.bit_count() for b in bodies for s, _ in b.focal if s.bits & (s.bits - 1)
-    )
+    width = sum(bits.bit_count() for b in bodies for bits, _ in b.masses if bits & (bits - 1))
     fixed = [[_ZERO] * n for _ in bodies]
     owners: list[tuple[int, int]] = []
     rows: list[lp.LinearConstraint] = []
@@ -224,7 +222,7 @@ def audit(
     combined_tag = classify(combined)
 
     targets = {1 << i for i in range(frame.size)}
-    targets.update(s.bits for s in combined.focal_sets())
+    targets.update(bits for bits, _ in combined.masses)
     full = (1 << frame.size) - 1
     solved = {0: ProbabilityInterval(frame.empty(), _ZERO, _ZERO)} if system.feasible else {}
     findings: list[ElementFinding] = []

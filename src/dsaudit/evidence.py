@@ -1,9 +1,15 @@
 """Bodies of evidence: focal sets paired with exact rational masses.
 
-Masses are `fractions.Fraction` values throughout; nothing in this package
-ever rounds.  A valid body assigns no mass to the empty set (represented by
-its absence), has pairwise-distinct focal sets, and masses that sum to
-exactly 1.
+Masses are exact rationals throughout; nothing in this package ever rounds.
+A valid body assigns no mass to the empty set (represented by its absence),
+has pairwise-distinct focal sets, and masses that sum to exactly 1.
+
+A body stores its masses as ints over one common denominator: ``den`` and
+one ``(bitmask, int)`` pair per focal set, so the mass of focal set S is
+``Fraction(int, den)``.  ``make_body``, ``combine`` and ``mass_from_belief``
+keep ``den`` the least such denominator, so equal bodies have equal fields
+and equal hashes.  ``focal``, the ``(FocalSet, Fraction)`` pairs, is built
+on first read and kept.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Union
 
 from .frames import FocalSet, Frame, require_same_frame
@@ -112,29 +119,35 @@ def as_mass(value: object) -> Fraction:
 
 @dataclass(frozen=True)
 class BodyOfEvidence:
-    """Focal sets with their masses, in ascending bitmask order."""
+    """Focal sets with their masses, in ascending bitmask order.
+
+    ``masses`` holds one ``(bitmask, int)`` pair per focal set, the int being
+    the mass over ``den``.  ``make_body`` validates; the other constructors
+    (``combine``, ``mass_from_belief``) build valid bodies by construction.
+    """
 
     frame: Frame
-    focal: tuple[tuple[FocalSet, Fraction], ...]
+    den: int
+    masses: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def focal(self) -> tuple[tuple[FocalSet, Fraction], ...]:
+        """Each focal set with its exact mass; built on first read and kept."""
+        frame, den = self.frame, self.den
+        return tuple((FocalSet(frame, bits), Fraction(m, den)) for bits, m in self.masses)
 
     def focal_sets(self) -> tuple[FocalSet, ...]:
         return tuple(s for s, _ in self.focal)
 
     def mass_of(self, s: FocalSet) -> Fraction:
         """Mass of ``s``; zero for any non-focal subset."""
-        for t, m in self.focal:
-            if t.bits == s.bits:
-                return m
+        for bits, m in self.masses:
+            if bits == s.bits:
+                return Fraction(m, self.den)
         return Fraction(0)
 
     def __str__(self) -> str:
         return "; ".join(f"{s}:{m}" for s, m in self.focal)
-
-
-def integer_masses(body: BodyOfEvidence) -> tuple[int, list[tuple[FocalSet, int]]]:
-    """The least common denominator of the masses, and each mass as an int over it."""
-    den = math.lcm(*(m.denominator for _, m in body.focal))
-    return den, [(s, m.numerator * (den // m.denominator)) for s, m in body.focal]
 
 
 class StructureTag(Enum):
@@ -153,7 +166,7 @@ def make_body(
     duplicate focal sets, or masses not summing to exactly 1.
     """
     seen: set[int] = set()
-    kept: list[tuple[FocalSet, Fraction]] = []
+    kept: list[tuple[int, Fraction]] = []
     for s, raw in assignments:
         require_same_frame(frame, s.frame)
         m = as_mass(raw)
@@ -166,14 +179,14 @@ def make_body(
             continue
         if s.bits == 0:
             raise EvidenceError(f"positive mass {m} on the empty set")
-        kept.append((s, m))
-    # The sum in ints over the least common denominator, not Fraction by Fraction.
+        kept.append((s.bits, m))
+    # The lcm of reduced denominators is the least common denominator.
     den = math.lcm(*(m.denominator for _, m in kept))
-    total = sum(m.numerator * (den // m.denominator) for _, m in kept)
+    scaled = sorted((bits, m.numerator * (den // m.denominator)) for bits, m in kept)
+    total = sum(m for _, m in scaled)
     if total != den:
         raise EvidenceError(f"masses must sum to exactly 1, got {Fraction(total, den)}")
-    kept.sort(key=lambda pair: pair[0].bits)
-    return BodyOfEvidence(frame, tuple(kept))
+    return BodyOfEvidence(frame, den, tuple(scaled))
 
 
 def vacuous(frame: Frame) -> BodyOfEvidence:
@@ -192,13 +205,13 @@ def classify(body: BodyOfEvidence) -> StructureTag:
     full = (1 << body.frame.size) - 1
     frame_is_focal = False
     covered = 0
-    for s, _ in body.focal:
-        if s.bits == full:
+    for bits, _ in body.masses:
+        if bits == full:
             frame_is_focal = True
-        elif covered & s.bits:
+        elif covered & bits:
             return StructureTag.GENERAL
         else:
-            covered |= s.bits
+            covered |= bits
     if covered != full:
         return StructureTag.GENERAL
     return StructureTag.QUASI_PARTITION if frame_is_focal else StructureTag.PARTITION

@@ -173,6 +173,21 @@ def test_measures_all_output_is_pinned(runner, case):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == case["sha256"]
 
 
+COMBINE_DIGESTS = json.loads((DATA / "combine_digests.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", COMBINE_DIGESTS, ids=lambda c: c["name"])
+def test_combine_output_is_pinned(runner, case):
+    # `combine` stdout of three bodies whose last step has conflict pairs,
+    # pinned byte for byte (SHA-256) in every format.
+    path = str(DATA / case["document"])
+    args = ["combine", "-i", path, "--format", case["format"], *case["bodies"]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert len(result.stdout_bytes) == case["bytes"]
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == case["sha256"]
+
+
 def _wide_doc(size):
     labels = [f"e{i}" for i in range(size)]
     return json.dumps(

@@ -1,5 +1,7 @@
 """Dempster combination: worked cases, conflict accounting, fold behavior."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -218,15 +220,14 @@ def test_zero_conflict_means_no_renormalization(abc):
 
 def test_combine_refuses_masses_that_do_not_sum_to_one(abc):
     # Built past make_body, so only combine's own sum check can see it.
-    short = BodyOfEvidence(
-        abc, ((subset(abc, ["a"]), Fraction(1, 2)), (subset(abc, ["b"]), Fraction(1, 4)))
-    )
+    short = BodyOfEvidence(abc, 4, ((subset(abc, ["a"]).bits, 2), (subset(abc, ["b"]).bits, 1)))
     with pytest.raises(EvidenceError, match="sum to exactly 1, got 3/4"):
         combine(short, vacuous(abc))
 
 
 def _reference_combine(a, b):
-    """Dempster's rule as a Fraction pair loop, validated through make_body."""
+    """Dempster's rule as a Fraction pair loop, validated through make_body:
+    one step of combined body, kappa, provenance and conflict pairs."""
     frame = a.frame
     kappa = Fraction(0)
     buckets = {}
@@ -251,19 +252,24 @@ def _reference_combine(a, b):
         [(FocalSet(frame, bits), m / (1 - kappa)) for bits, m in sorted(buckets.items())],
     )
     prov = {FocalSet(frame, bits): tuple(p) for bits, p in sorted(provenance.items())}
-    return CombinationResult(combined, kappa, prov, tuple(conflicts))
+    return [(combined, kappa, prov, tuple(conflicts))]
 
 
 def _outcome(rule, *args):
-    """Every field of a combination, in order, or the error it raised."""
+    """Every step of a combination as its body's focal list, kappa,
+    provenance and conflict pairs, or the error it raised."""
     try:
         result = rule(*args)
     except TotalConflictError as exc:
         return ("total conflict", str(exc), exc.step)
-    steps = result.steps or (result,)
+    if isinstance(result, CombinationResult):
+        result = [
+            (r.combined, r.kappa, r.provenance, r.conflict_pairs)
+            for r in result.steps or (result,)
+        ]
     return [
-        (r.combined.focal, r.kappa, list(r.provenance.items()), r.conflict_pairs)
-        for r in steps
+        (combined.focal, kappa, list(prov.items()), pairs)
+        for combined, kappa, prov, pairs in result
     ]
 
 
@@ -272,16 +278,13 @@ def _reference_fold(bodies):
     steps = []
     for k, body in enumerate(bodies[1:], start=1):
         try:
-            steps.append(_reference_combine(acc, body))
+            steps += _reference_combine(acc, body)
         except TotalConflictError:
             raise TotalConflictError(
                 f"total conflict while combining body {k + 1} of {len(bodies)}", step=k
             ) from None
-        acc = steps[-1].combined
-    last = steps[-1]
-    return CombinationResult(
-        last.combined, last.kappa, last.provenance, last.conflict_pairs, tuple(steps)
-    )
+        acc = steps[-1][0]
+    return steps
 
 
 # Mixed denominators, among them three large primes, so that common
@@ -327,3 +330,28 @@ def test_integer_rule_matches_the_fraction_pair_loop(bodies):
             combined = combine(a, b).combined
             assert make_body(combined.frame, combined.focal) == combined
     assert _outcome(combine_many, bodies) == _outcome(_reference_fold, bodies)
+
+
+@settings(max_examples=100, deadline=None)
+@given(body_triples())
+def test_bodies_and_results_survive_pickling_and_copying(bodies):
+    try:
+        result = combine_many(bodies)
+    except TotalConflictError:
+        return
+    results = (result, *result.steps)
+    for read in (False, True):
+        if read:
+            for r in results:
+                r.combined.focal, r.provenance, r.conflict_pairs
+            for body in bodies:
+                body.focal
+        for body in (*bodies, *(r.combined for r in results)):
+            for copied in (pickle.loads(pickle.dumps(body)), copy.deepcopy(body)):
+                assert copied == body and hash(copied) == hash(body)
+                assert copied.focal == body.focal
+        for r in results:
+            for copied in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+                assert copied == r and copied.steps == r.steps
+                assert copied.provenance == r.provenance
+                assert copied.conflict_pairs == r.conflict_pairs

@@ -1,5 +1,6 @@
 """Body construction axioms and partition / quasi-partition classification."""
 
+import math
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 
 from dsaudit import (
     EvidenceError,
+    MeasureKind,
     combine,
     make_body,
     make_frame,
+    mass_from_belief,
+    measure_table,
     subset,
     vacuous,
 )
@@ -124,6 +128,43 @@ def test_bodies_always_satisfy_axioms(body):
     assert all(s.bits != 0 for s, _ in body.focal)
     tags = {classify(body)}
     assert tags <= {StructureTag.PARTITION, StructureTag.QUASI_PARTITION, StructureTag.GENERAL}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_constructor_keeps_the_least_denominator(data):
+    # One assignment built three ways: through make_body from shuffled
+    # entries with unreduced mass strings, as its combination with the
+    # vacuous body, and as the inversion of its belief table.
+    size = data.draw(st.integers(1, 8), label="size")
+    frame = make_frame([f"e{i}" for i in range(size)])
+    full = (1 << size) - 1
+    masks = data.draw(
+        st.lists(st.integers(1, full), min_size=1, max_size=min(8, full), unique=True),
+        label="masks",
+    )
+    weights = data.draw(
+        st.lists(st.integers(1, 60), min_size=len(masks), max_size=len(masks)), label="weights"
+    )
+    masses = [Fraction(w, sum(weights)) for w in weights]
+    entries = []
+    for bits, m in zip(masks, masses):
+        k = data.draw(st.integers(1, 5))
+        raw = data.draw(st.sampled_from([m, f"{k * m.numerator}/{k * m.denominator}"]))
+        entries.append((FocalSet(frame, bits), raw))
+    body = make_body(frame, data.draw(st.permutations(entries), label="order"))
+    den = math.lcm(*(m.denominator for m in masses))
+    want = tuple(sorted((bits, int(m * den)) for bits, m in zip(masks, masses)))
+    built = (
+        body,
+        combine(body, vacuous(frame)).combined,
+        mass_from_belief(measure_table(body, MeasureKind.BELIEF)),
+    )
+    for other in built:
+        assert (other.den, other.masses) == (den, want)
+        assert math.gcd(other.den, *(m for _, m in other.masses)) == 1
+        assert other == body and hash(other) == hash(body)
+        assert other.focal == tuple((FocalSet(frame, b), Fraction(m, den)) for b, m in want)
 
 
 def test_mass_exponent_is_bounded():

@@ -14,6 +14,7 @@ from dsaudit import (
     InversionError,
     MeasureKind,
     belief,
+    combine_many,
     make_body,
     make_frame,
     mass_from_belief,
@@ -386,7 +387,6 @@ def _butterfly(table, size, sign):
 def test_packed_kernels_match_the_butterfly(data):
     size = data.draw(st.integers(1, 12), label="size")
     n = 1 << size
-    frame = make_frame([f"e{i}" for i in range(size)])
     top = 1 << data.draw(st.sampled_from(_ENTRY_BITS), label="bits")
     entries = data.draw(
         st.dictionaries(st.integers(0, n - 1), st.integers(0, top - 1), max_size=20),
@@ -399,7 +399,7 @@ def test_packed_kernels_match_the_butterfly(data):
         masses[bits] = m
 
     zeta = _butterfly(masses, size, 1)
-    packed = _packed_zeta([(FocalSet(frame, b), m) for b, m in entries.items()], size)
+    packed = _packed_zeta(tuple(entries.items()), size)
     total = sum(entries.values())
     if min(entries.values(), default=0) < 0 or total.bit_length() > 64:
         assert packed is None
@@ -442,9 +442,8 @@ def test_packed_kernels_match_the_butterfly(data):
     "bits, width", [(8, 1), (16, 2), (32, 4), (64, 8), (65, None)]
 )
 def test_each_field_width_serves_a_table_whose_sum_fits_it(bits, width):
-    frame = make_frame([f"e{i}" for i in range(5)])
     total = (1 << bits) - 1
-    scaled = [(FocalSet(frame, 3), total // 3), (FocalSet(frame, 31), total - total // 3)]
+    scaled = ((3, total // 3), (31, total - total // 3))
     packed = _packed_zeta(scaled, 5)
     if width is None:
         assert packed is None
@@ -452,8 +451,8 @@ def test_each_field_width_serves_a_table_whose_sum_fits_it(bits, width):
     chunks, got = packed
     assert got == width
     masses = [0] * 32
-    for s, m in scaled:
-        masses[s.bits] = m
+    for mask, m in scaled:
+        masses[mask] = m
     zeta = _butterfly(masses, 5, 1)
     assert list(_unpack(chunks, 5, width)) == zeta
     # The guard bit makes the inversion of the same table one width wider,
@@ -522,6 +521,35 @@ def wide_bodies(draw):
     return make_body(frame, [(FocalSet(frame, b), m / total) for b, m in zip(masks, raw)])
 
 
+def _reference_belief(body, s):
+    """Belief as a running Fraction sum over the focal sets."""
+    total = Fraction(0)
+    for t, m in body.focal:
+        if t.bits & ~s.bits == 0:
+            total += m
+    return total
+
+
+def _reference_plausibility(body, s):
+    """Plausibility as a running Fraction sum over the focal sets."""
+    total = Fraction(0)
+    for t, m in body.focal:
+        if t.bits & s.bits:
+            total += m
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_bodies(), st.data())
+def test_belief_and_plausibility_match_a_fraction_sum(body, data):
+    full = (1 << body.frame.size) - 1
+    drawn = data.draw(st.lists(st.integers(0, full), max_size=8), label="subsets")
+    for bits in {0, full, *drawn, *(bits for bits, _ in body.masses)}:
+        s = FocalSet(body.frame, bits)
+        assert belief(body, s) == _reference_belief(body, s)
+        assert plausibility(body, s) == _reference_plausibility(body, s)
+
+
 @settings(max_examples=150, deadline=None)
 @given(wide_bodies())
 def test_wide_bodies_round_trip_through_belief(body):
@@ -577,3 +605,35 @@ def test_packed_path_alone_serves_a_small_denominator_table(monkeypatch):
         s = FocalSet(frame, bits)
         assert bel.values[s] == belief(body, s)
         assert pl.values[s] == plausibility(body, s)
+
+
+def test_combination_tables_and_inversion_build_no_view(monkeypatch):
+    frame = make_frame([f"e{i}" for i in range(9)])
+    entries = (
+        [(0b000001111, "1/3"), (0b111110000, "1/2"), (0b111111111, "1/6")],
+        [(0b000000011, "2/5"), (0b001111100, "1/2"), (0b110000000, "1/10")],
+        [(0b000000101, "3/7"), (0b011000010, "2/7"), (0b111111111, "2/7")],
+    )
+    bodies = [
+        make_body(frame, [(FocalSet(frame, bits), m) for bits, m in body]) for body in entries
+    ]
+    built = []
+    post_init = FocalSet.__post_init__
+
+    def counted(self):
+        built.append(self.bits)
+        post_init(self)
+
+    monkeypatch.setattr(FocalSet, "__post_init__", counted)
+    result = combine_many(bodies)
+    bel = measure_table(result.combined, MeasureKind.BELIEF)
+    measure_table(result.combined, MeasureKind.PLAUSIBILITY)
+    recovered = mass_from_belief(bel)
+    assert recovered == result.combined
+    assert built == []
+    views = {"focal", "provenance", "conflict_pairs"}
+    for obj in (*bodies, recovered, result, *result.steps, *(r.combined for r in result.steps)):
+        assert not views & vars(obj).keys()
+    # Every step clashes, so each view has something to build.
+    assert all(r.conflict_pairs and r.provenance for r in result.steps)
+    assert built
