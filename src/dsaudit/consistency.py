@@ -11,10 +11,15 @@ variable.  One row per focal set says its shares sum to its mass; one row
 per body after the first and per element but the last says that body's
 marginal equals body 0's (the last element's row follows from the totals).
 P is body 0's marginal.  The LP grows with the total size of the focal
-sets, never with the power set.  Simplex phase one runs once per system,
-when it is built; every target's minimum and maximum start from that
-feasible basis.  The tight interval per target is then compared with the
-[belief, plausibility] interval of the Dempster-combined body.
+sets, never with the power set.  The system is built from the bodies'
+stored ints: its rows are [A | D*b] with D the lcm of the bodies'
+denominators, and `lp.phase_one_rows` runs simplex phase one on them
+once, when the system is built.  Every target's minimum and maximum start
+from that feasible basis.  The rows as tagged `lp.LinearConstraint`s are
+built only when `constraints` is first read, as a solve does, so an
+infeasible system never builds them.  The tight interval per target is
+then compared with the [belief, plausibility] interval of the
+Dempster-combined body.
 
 P sums to 1 at every feasible point, so min P(S) = 1 - max P(complement)
 and max P(S) = 1 - min P(complement).  An audit takes its targets in
@@ -30,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from . import lp
@@ -46,15 +53,19 @@ class ProbabilityConstraintSystem:
     """The distributions over the frame that every body allows, as the
     allocation LP.
 
-    `constraints` holds the LP rows over the allocation variables, `owners`
-    the (body index, element index) of each variable, and `fixed` body 0's
-    singleton masses per element: P(w) is fixed[w] plus body 0's variables
-    owned by w.  `start` is the simplex phase one of `constraints`: None
-    when no distribution satisfies every body.
+    `rows` holds the LP rows over the allocation variables as ints
+    [A | den*b], `names` the bodies' names, `owners` the (body index,
+    element index) of each variable, and `fixed` body 0's singleton masses
+    per element: P(w) is fixed[w] plus body 0's variables owned by w.
+    `start` is the simplex phase one of the rows: None when no distribution
+    satisfies every body.  `constraints`, the rows as tagged
+    `lp.LinearConstraint`s, is built on first read and kept.
     """
 
     frame: Frame
-    constraints: tuple[lp.LinearConstraint, ...] = field(repr=False)
+    rows: tuple[tuple[int, ...], ...] = field(repr=False)
+    den: int = field(repr=False)
+    names: tuple[str, ...]
     owners: tuple[tuple[int, int], ...] = field(repr=False)
     fixed: tuple[Fraction, ...] = field(repr=False)
     start: lp.FeasibleStart | None = field(compare=False, repr=False)
@@ -62,6 +73,20 @@ class ProbabilityConstraintSystem:
     @property
     def feasible(self) -> bool:
         return self.start is not None
+
+    @cached_property
+    def constraints(self) -> tuple[lp.LinearConstraint, ...]:
+        """Each row with its rhs as a `Fraction` and a tag: body:split:set
+        for a split row, body:marginal:element for a marginal row."""
+        frame, rows, names, den = self.frame, self.rows, self.names, self.den
+        marginal = [f"{name}:marginal:{w}" for name in names[1:] for w in frame.elements[:-1]]
+        tags = []
+        for row in rows[: len(rows) - len(marginal)]:
+            # A split row's ones are its focal set's columns, all owned by one body.
+            body, bits = zip(*[(k, 1 << w) for (k, w), v in zip(self.owners, row) if v])
+            tags.append(f"{names[body[0]]}:split:{FocalSet(frame, sum(bits))}")
+        pairs = zip(rows, tags + marginal)
+        return tuple(lp.LinearConstraint(r[:-1], Fraction(r[-1], den), t) for r, t in pairs)
 
 
 @dataclass(frozen=True)
@@ -117,7 +142,8 @@ def build_constraints(
     Rows, all equalities with 0/+-1 `int` coefficients and a rational rhs:
     each focal set of two or more elements splits its mass over its
     elements; each body after the first has body 0's marginal on every
-    element but the last.  A vacuous body adds one split row.
+    element but the last.  A vacuous body adds one split row.  Only the
+    bodies' `den` and `masses` are read.
     """
     if not bodies:
         raise ValueError("need at least one body")
@@ -130,35 +156,31 @@ def build_constraints(
         raise ValueError(f"{len(names)} names for {len(bodies)} bodies")
 
     n = frame.size
+    den = lcm(*[b.den for b in bodies])
     width = sum(bits.bit_count() for b in bodies for bits, _ in b.masses if bits & (bits - 1))
-    fixed = [[_ZERO] * n for _ in bodies]
+    fixed = [[0] * n for _ in bodies]
     owners: list[tuple[int, int]] = []
-    rows: list[lp.LinearConstraint] = []
-    for k, (body, name) in enumerate(zip(bodies, names)):
-        for s, mass in body.focal:
-            members = [w for w in range(n) if s.bits >> w & 1]
-            if len(members) == 1:
-                fixed[k][members[0]] = mass
+    rows: list[tuple[int, ...]] = []
+    for k, body in enumerate(bodies):
+        scale = den // body.den
+        for bits, m in body.masses:
+            if not bits & (bits - 1):
+                fixed[k][bits.bit_length() - 1] = m * scale
                 continue
-            coeffs = [0] * width
-            coeffs[len(owners) : len(owners) + len(members)] = [1] * len(members)
-            rows.append(lp.LinearConstraint(tuple(coeffs), mass, f"{name}:split:{s}"))
+            members = [w for w in range(n) if bits >> w & 1]
+            before, size = len(owners), len(members)
+            rows.append((0,) * before + (1,) * size + (0,) * (width - before - size) + (m * scale,))
             owners.extend([(k, w) for w in members])
     for k in range(1, len(bodies)):
         for w in range(n - 1):
-            coeffs = [
-                1 if owner == (k, w) else -1 if owner == (0, w) else 0
-                for owner in owners
-            ]
-            rows.append(
-                lp.LinearConstraint(
-                    tuple(coeffs),
-                    fixed[0][w] - fixed[k][w],
-                    f"{names[k]}:marginal:{frame.elements[w]}",
-                )
-            )
-    start = lp.phase_one(rows, len(owners))
-    return ProbabilityConstraintSystem(frame, tuple(rows), tuple(owners), tuple(fixed[0]), start)
+            plus, minus = (k, w), (0, w)
+            row = [1 if o == plus else -1 if o == minus else 0 for o in owners]
+            rows.append((*row, fixed[0][w] - fixed[k][w]))
+    start = lp.phase_one_rows(rows, den, len(owners))
+    fixed0 = tuple(Fraction(m, den) for m in fixed[0])
+    return ProbabilityConstraintSystem(
+        frame, tuple(rows), den, tuple(names), tuple(owners), fixed0, start
+    )
 
 
 def probability_bounds(

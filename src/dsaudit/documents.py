@@ -10,8 +10,11 @@ Schema::
       }
     }
 
-Masses go through `evidence.as_mass`: fraction strings ("1/4"), integer
-strings, decimal strings that convert exactly ("0.25"), or JSON integers.
+Masses go through `evidence.as_mass`, once per entry: fraction strings
+("1/4"), integer strings, decimal strings that convert exactly ("0.25"), or
+JSON integers.  Each entry's labels become a bitmask, and the
+``(bitmask, Fraction)`` pairs go to `evidence.make_body_bits`, which checks
+the body; no `FocalSet` is made unless an error message names one.
 JSON floats are rejected: the binary value the JSON parser hands over is
 usually not the decimal the file shows.  A key may appear only once in
 each object, so a repeated body name or entry key is an error rather than
@@ -24,8 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .evidence import BodyOfEvidence, EvidenceError, as_mass, make_body
-from .frames import FRAME_SIZE_CAP, Frame, FrameError, make_frame, subset
+from .evidence import BodyOfEvidence, EvidenceError, as_mass, make_body_bits
+from .frames import FRAME_SIZE_CAP, Frame, FrameError, make_frame
 
 # An audit solves two LPs per target, and every focal set of the combined body
 # is a target.  Each further body can multiply the combined focal sets by up to
@@ -113,14 +116,15 @@ def parse_document(text: str, source: str = "<input>") -> EvidenceDocument:
                 isinstance(x, str) for x in members
             ):
                 raise DocumentError(f"{where}, entry {k + 1}: 'set' must be a list of labels")
+            bits = 0
             try:
-                focal = subset(frame, members)
-                mass = as_mass(entry["mass"])
+                for label in members:
+                    bits |= 1 << frame.index(label)
+                assignments.append((bits, as_mass(entry["mass"])))
             except (FrameError, EvidenceError) as exc:
                 raise DocumentError(f"{where}, entry {k + 1}: {exc}") from None
-            assignments.append((focal, mass))
         try:
-            bodies[name] = make_body(frame, assignments)
+            bodies[name] = make_body_bits(frame, assignments)
         except (EvidenceError, FrameError) as exc:
             raise DocumentError(f"{where}: {exc}") from None
     return EvidenceDocument(frame, bodies)

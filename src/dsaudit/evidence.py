@@ -9,7 +9,9 @@ one ``(bitmask, int)`` pair per focal set, so the mass of focal set S is
 ``Fraction(int, den)``.  ``make_body``, ``combine`` and ``mass_from_belief``
 keep ``den`` the least such denominator, so equal bodies have equal fields
 and equal hashes.  ``focal``, the ``(FocalSet, Fraction)`` pairs, is built
-on first read and kept.
+on first read and kept.  ``make_body`` reads each ``(FocalSet, mass)`` entry
+and hands its bitmask and exact mass to ``make_body_bits``, which holds
+every check; document parsing calls ``make_body_bits`` directly.
 """
 
 from __future__ import annotations
@@ -165,21 +167,31 @@ def make_body(
     Raises EvidenceError on: positive mass on the empty set, negative mass,
     duplicate focal sets, or masses not summing to exactly 1.
     """
+    return make_body_bits(frame, ((_bits_on(frame, s), as_mass(raw)) for s, raw in assignments))
+
+
+def _bits_on(frame: Frame, s: FocalSet) -> int:
+    require_same_frame(frame, s.frame)
+    return s.bits
+
+
+def make_body_bits(frame: Frame, masses: Iterable[tuple[int, Fraction]]) -> BodyOfEvidence:
+    """`make_body` of ``(bitmask, Fraction)`` pairs over ``frame``, with its
+    checks in the same order; an entry is read only after the one before it
+    passed."""
     seen: set[int] = set()
     kept: list[tuple[int, Fraction]] = []
-    for s, raw in assignments:
-        require_same_frame(frame, s.frame)
-        m = as_mass(raw)
+    for bits, m in masses:
         if m.numerator < 0:
-            raise EvidenceError(f"negative mass {m} on {s}")
-        if s.bits in seen:
-            raise EvidenceError(f"duplicate focal set {s}")
-        seen.add(s.bits)
+            raise EvidenceError(f"negative mass {m} on {FocalSet(frame, bits)}")
+        if bits in seen:
+            raise EvidenceError(f"duplicate focal set {FocalSet(frame, bits)}")
+        seen.add(bits)
         if not m.numerator:
             continue
-        if s.bits == 0:
+        if bits == 0:
             raise EvidenceError(f"positive mass {m} on the empty set")
-        kept.append((s.bits, m))
+        kept.append((bits, m))
     # The lcm of reduced denominators is the least common denominator.
     den = math.lcm(*(m.denominator for _, m in kept))
     scaled = sorted((bits, m.numerator * (den // m.denominator)) for bits, m in kept)

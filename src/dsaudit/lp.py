@@ -27,16 +27,21 @@ phase two uses, and the first reduced-cost row is minus their column sums.
 Only the LP's own columns can enter, and an artificial that leaves the
 basis is never needed again (Chvatal 1983, ch. 8).  The rows are the
 caller's own, unscaled; only the right-hand sides are put over one common
-denominator.  So for the two-body allocation LP, whose 0/+-1 matrix is
-totally unimodular, d stays 1.  Phase one depends only on the constraints,
-so it is a value of its own: `phase_one` returns a `FeasibleStart` (or None
-when the system is infeasible), and `minimize`/`maximize` run phase two
-from the start they are given, never phase one.  Callers that optimise
-several objectives over one system compute the start once and pass it to
-every solve.  While the pivot entry equals the scale, the update touches
-only the rows with a nonzero in the pivot column, and in them only the
-nonzero entries of the pivot row, since the allocation rows are 0/+-1 and
-sparse; there is no revised-simplex machinery.
+denominator, the least one.  So for the two-body allocation LP, whose 0/+-1
+matrix is totally unimodular, d stays 1, and a pivot then divides nothing.
+Phase one depends only on the constraints, so it is a value of its own:
+`phase_one` returns a `FeasibleStart` (or None when the system is
+infeasible), and `minimize`/`maximize` run phase two from the start they
+are given, never phase one.  Phase one itself runs on int rows: a caller
+that already holds [A | D*b] over some common denominator D passes them to
+`phase_one_rows`, which divides D and the rhs by their gcd to reach the
+least denominator; `phase_one` checks its `LinearConstraint`s, puts them in
+that form and calls it.  Callers that optimise several objectives over one
+system compute the start once and pass it to every solve.  While the pivot
+entry equals the scale, the update touches only the rows with a nonzero in
+the pivot column, and in them only the nonzero entries of the pivot row,
+since the allocation rows are 0/+-1 and sparse; there is no revised-simplex
+machinery.
 
 A solve returns `LPSolution(value, basis)`: the optimum and the tableau
 phase two ends on, itself a `FeasibleStart` over the same rows.  An optimal
@@ -53,7 +58,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from typing import ClassVar, Sequence
 
 
@@ -132,7 +137,8 @@ def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int, d: int) -> i
     basis, so by Cramer's rule every entry is an integer and the division is
     exact.  The rows hold the LP's own columns and the rhs, never an
     artificial column.  While p == d, rows with row_i[c] == 0 keep their
-    values, and the others change only where the pivot row is nonzero.
+    values, and the others change only where the pivot row is nonzero,
+    with no division while d == 1.
     """
     pivot_row = rows[r]
     p = pivot_row[c]
@@ -141,8 +147,12 @@ def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int, d: int) -> i
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                for j, w in nonzero:
-                    row[j] -= f * w // d
+                if d == 1:
+                    for j, w in nonzero:
+                        row[j] -= f * w
+                else:
+                    for j, w in nonzero:
+                        row[j] -= f * w // d
     else:
         for i, row in enumerate(rows):
             if i != r:
@@ -202,37 +212,49 @@ def phase_one(
             raise ValueError(f"constraint is not {num_vars} ints: {con}")
         if not isinstance(con.rhs, (int, Fraction)):
             raise ValueError(f"constraint rhs is not an int or a Fraction: {con}")
-    # Row i is constraint i's coefficients and den*rhs_i, negated with the
-    # row if it is negative.  Its artificial num_vars + i is basic, so
-    # B = I and d = 1; every artificial costs 1, so the reduced row is minus
-    # the column sums.
     den = lcm(*[con.rhs.denominator for con in constraints])
-    rows: list[list[int]] = []
-    for con in constraints:
-        row = [*con.coeffs, con.rhs.numerator * (den // con.rhs.denominator)]
-        rows.append([-v for v in row] if row[-1] < 0 else row)
-    basis = list(range(num_vars, num_vars + len(rows)))
-    reduced = [-sum(col) for col in zip(*rows)] if rows else [0] * (num_vars + 1)
-    reduced, d = _run_simplex(rows, basis, reduced, 1)
+    rows = [(*con.coeffs, con.rhs.numerator * (den // con.rhs.denominator)) for con in constraints]
+    return phase_one_rows(rows, den, num_vars)
+
+
+def phase_one_rows(
+    rows: Sequence[Sequence[int]], den: int, num_vars: int
+) -> FeasibleStart | None:
+    """`phase_one` of the system whose rows are [A | den*b]: `num_vars`
+    int coefficients, then the rhs times `den`, a common denominator of b.
+
+    The rows are neither checked nor changed.  The start's `den` is
+    den // gcd(den, *rhs), the least common denominator of b.
+    """
+    # Row i is rows[i] with its rhs over the least common denominator
+    # den // g, negated if that is negative.  Its artificial num_vars + i is basic, so B = I and
+    # d = 1; every artificial costs 1, so the reduced row is minus the
+    # column sums.
+    g = gcd(den, *[row[-1] for row in rows])
+    tableau = [[*row[:-1], row[-1] // g] for row in rows]
+    tableau = [[-v for v in row] if row[-1] < 0 else row for row in tableau]
+    basis = list(range(num_vars, num_vars + len(tableau)))
+    reduced = [-sum(col) for col in zip(*tableau)] if tableau else [0] * (num_vars + 1)
+    reduced, d = _run_simplex(tableau, basis, reduced, 1)
     if reduced[-1]:
         return None
     # Drive leftover artificials out of the basis; drop redundant rows.  A
     # basic artificial's column is the unit vector of its row, so dropping
     # the row and the artificial leaves |det B|, and d, as they were.
-    for i in reversed(range(len(rows))):
+    for i in reversed(range(len(tableau))):
         if basis[i] >= num_vars:
-            pivot_col = next((j for j in range(num_vars) if rows[i][j] != 0), None)
+            pivot_col = next((j for j in range(num_vars) if tableau[i][j] != 0), None)
             if pivot_col is None:
-                del rows[i]
+                del tableau[i]
                 del basis[i]
             else:
                 # A negative pivot entry: the pivot makes -row the new row
-                # at scale -rows[i][pivot_col], so it is negated first.
-                if rows[i][pivot_col] < 0:
-                    rows[i] = [-v for v in rows[i]]
-                d = _pivot(rows, basis, i, pivot_col, d)
+                # at scale -tableau[i][pivot_col], so it is negated first.
+                if tableau[i][pivot_col] < 0:
+                    tableau[i] = [-v for v in tableau[i]]
+                d = _pivot(tableau, basis, i, pivot_col, d)
 
-    return FeasibleStart(num_vars, tuple(map(tuple, rows)), tuple(basis), den)
+    return FeasibleStart(num_vars, tuple(map(tuple, tableau)), tuple(basis), den // g)
 
 
 def minimize(

@@ -4,6 +4,7 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import event, given, settings
@@ -22,10 +23,12 @@ from dsaudit import (
     vacuous,
 )
 from dsaudit import lp
+from dsaudit.consistency import ProbabilityConstraintSystem
 from dsaudit.frames import FocalSet, enumerate_subsets
 from dsaudit.repro import zadeh_fixture
 from flow_oracle import two_body_bounds
 from lp_oracle import element_bounds_by_vertex_enumeration, two_sided_system
+import constraints_reference
 import slack_form
 from strategies import bodies, exact_masses, frames
 
@@ -254,10 +257,11 @@ def test_crossing_partitions_with_zero_conflict_stay_underdetermined():
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts of lp.phase_one and lp.minimize calls (maximize goes through
-    minimize)."""
+    """Counts of lp.phase_one_rows and lp.minimize calls: phase_one and
+    build_constraints go through phase_one_rows, maximize through
+    minimize."""
     counts = Counter()
-    for name in ("phase_one", "minimize"):
+    for name in ("phase_one_rows", "minimize"):
         original = getattr(lp, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -271,7 +275,7 @@ def lp_calls(monkeypatch):
 def test_infeasible_audit_runs_phase_one_once_and_no_solve(lp_calls):
     report = zadeh_fixture()
     assert not report.feasible
-    assert lp_calls == {"phase_one": 1}
+    assert lp_calls == {"phase_one_rows": 1}
 
 
 def test_feasible_audit_runs_phase_one_once(
@@ -295,7 +299,7 @@ def test_feasible_audit_runs_phase_one_once(
         report = audit(list(pair))
         assert report.feasible
         assert [str(f.subset) for f in report.findings] == targets
-        assert lp_calls["phase_one"] == 1
+        assert lp_calls["phase_one_rows"] == 1
         assert lp_calls["minimize"] == solves
 
 
@@ -456,3 +460,99 @@ def test_two_body_bounds_match_the_min_cost_flow(pair, data):
         assert (flow is None) == (not interval.feasible)
         if flow is not None:
             assert (interval.lower, interval.upper) == flow
+
+
+@st.composite
+def constraint_bodies(draw):
+    """1-4 bodies on a frame of 1-8 elements.  A body is vacuous, holds only
+    singletons, or holds any 1-4 focal sets, each with its own denominator,
+    so systems with several `den`, infeasible systems and split-free bodies
+    all occur."""
+    frame = make_frame([f"e{i}" for i in range(draw(st.integers(1, 8)))])
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["vacuous", "singletons", "any"]))
+        if kind == "vacuous":
+            out.append(vacuous(frame))
+            continue
+        if kind == "singletons":
+            size = draw(st.integers(1, min(4, frame.size)))
+            masks = [1 << w for w in draw(st.permutations(range(frame.size)))[:size]]
+        else:
+            full = (1 << frame.size) - 1
+            masks = draw(st.lists(st.integers(1, full), min_size=1, max_size=min(4, full), unique=True))
+        masses = draw(exact_masses(len(masks)))
+        out.append(make_body(frame, [(FocalSet(frame, b), m) for b, m in zip(masks, masses)]))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_bodies(), st.booleans())
+def test_build_constraints_matches_the_reference_builder(bodies_, named):
+    # The int-row builder against the LinearConstraint builder it replaced
+    # (tests/constraints_reference.py): equal rows, rhs, tags, owners and
+    # fixed masses, and the very same phase-one tableau, basis and den, so
+    # every later pivot is the same too.
+    names = [f"B{k}" for k in range(len(bodies_))] if named else None
+    system = build_constraints(bodies_, names)
+    constraints, owners, fixed, start = constraints_reference.build_constraints(bodies_, names)
+    event("feasible" if start is not None else "infeasible")
+    event(f"{len({b.den for b in bodies_})} distinct den")
+    assert system.start == start
+    assert system.owners == owners
+    assert system.fixed == fixed
+    assert all(type(m) is F for m in system.fixed)
+    assert system.constraints == constraints
+    assert [type(con.rhs) for con in system.constraints] == [F] * len(constraints)
+
+
+def _counted_constraints(monkeypatch):
+    """Patch ProbabilityConstraintSystem.constraints to count its builds."""
+    builds = []
+    view = ProbabilityConstraintSystem.constraints
+
+    def counted(system):
+        builds.append(system)
+        return view.func(system)
+
+    patched = cached_property(counted)
+    patched.__set_name__(ProbabilityConstraintSystem, "constraints")
+    monkeypatch.setattr(ProbabilityConstraintSystem, "constraints", patched)
+    return builds
+
+
+def test_an_infeasible_audit_builds_no_view(monkeypatch):
+    builds = _counted_constraints(monkeypatch)
+    doc = parse_document(
+        json.dumps(
+            {
+                "frame": ["a", "b", "c"],
+                "bodies": {
+                    "A": [{"set": ["a"], "mass": "1/2"}, {"set": ["b", "c"], "mass": "1/2"}],
+                    "B": [{"set": ["b"], "mass": "3/4"}, {"set": ["a", "c"], "mass": "1/4"}],
+                },
+            }
+        )
+    )
+    bodies_ = list(doc.bodies.values())
+    report = audit(bodies_, list(doc.bodies))
+    assert not report.feasible
+    assert builds == []
+    assert "constraints" not in vars(report.system)
+    for body in (*bodies_, report.combined):
+        assert "focal" not in vars(body)
+
+
+def test_a_feasible_audit_builds_the_constraints_once(monkeypatch, partition_bodies_pair):
+    builds = _counted_constraints(monkeypatch)
+    report = audit(list(partition_bodies_pair), ["A", "B"])
+    assert report.feasible
+    assert builds == [report.system]
+    # Reading the view again returns the kept tuple.
+    assert [con.tag for con in report.system.constraints] == [
+        "A:split:{b,c}",
+        "B:split:{a,b}",
+        "B:marginal:a",
+        "B:marginal:b",
+    ]
+    assert builds == [report.system]

@@ -2,11 +2,25 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dsaudit import FRAME_SIZE_CAP, MAX_BODIES, MAX_FOCAL_SETS, DocumentError, parse_document
+from dsaudit import (
+    FRAME_SIZE_CAP,
+    MAX_BODIES,
+    MAX_FOCAL_SETS,
+    DocumentError,
+    documents,
+    evidence,
+    make_body,
+    make_frame,
+    parse_document,
+    subset,
+)
 from dsaudit.documents import load_document
+from dsaudit.evidence import EvidenceError, as_mass
+from dsaudit.frames import FocalSet, FrameError
 
 GOOD = """
 {
@@ -149,3 +163,77 @@ def test_one_body_over_the_cap_is_refused_before_any_mass_parses():
     text = _bayesian_document(MAX_BODIES + 1, mass=0.5)
     with pytest.raises(DocumentError, match=f"{MAX_BODIES + 1} bodies; the limit is {MAX_BODIES}"):
         parse_document(text)
+
+
+def test_parsing_builds_no_focal_set_and_parses_each_mass_once(monkeypatch):
+    # Labels go straight to bitmasks and each mass string is parsed once;
+    # a FocalSet is made only for an error message or a view read later.
+    built = []
+    post_init = FocalSet.__post_init__
+
+    def counted_post_init(self):
+        built.append(self.bits)
+        post_init(self)
+
+    parsed = []
+
+    def counted_as_mass(value):
+        parsed.append(value)
+        return as_mass(value)
+
+    monkeypatch.setattr(FocalSet, "__post_init__", counted_post_init)
+    monkeypatch.setattr(evidence, "as_mass", counted_as_mass)
+    monkeypatch.setattr(documents, "as_mass", counted_as_mass)
+    text = json.dumps(
+        {
+            "frame": ["a", "b", "c", "d"],
+            "bodies": {
+                "A": [
+                    {"set": ["a"], "mass": "1/4"},
+                    {"set": ["b", "c"], "mass": "0.5"},
+                    {"set": ["a", "b", "c", "d"], "mass": "1/4"},
+                ],
+                "B": [{"set": ["d", "a"], "mass": 1}, {"set": [], "mass": "0"}],
+                "C": [{"set": ["c"], "mass": "1/3"}, {"set": ["c", "d"], "mass": "2/3"}],
+            },
+        }
+    )
+    doc = parse_document(text)
+    assert built == []
+    assert parsed == ["1/4", "0.5", "1/4", 1, "0", "1/3", "2/3"]
+    assert all("focal" not in vars(body) for body in doc.bodies.values())
+    assert doc.bodies["B"].masses == ((0b1001, 1),)
+    frame = doc.frame
+    a = [(subset(frame, ["a"]), "1/4"), (subset(frame, ["b", "c"]), "1/2"), (frame.universe(), "1/4")]
+    assert doc.bodies["A"] == make_body(frame, a)
+
+
+def _error_message(call):
+    with pytest.raises((DocumentError, EvidenceError, FrameError)) as info:
+        call()
+    return f"{type(info.value).__name__}: {info.value}"
+
+
+ERROR_TABLE = json.loads((Path(__file__).parent / "data" / "error_messages.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", ERROR_TABLE["parse_document"], ids=[c["case"] for c in ERROR_TABLE["parse_document"]]
+)
+def test_parse_errors_are_the_recorded_messages(case):
+    # The table was recorded before parsing went straight to bitmasks: the
+    # same message, byte for byte, and the same entry reported first.
+    assert _error_message(lambda: parse_document(case["text"])) == case["message"]
+
+
+@pytest.mark.parametrize(
+    "case", ERROR_TABLE["make_body"], ids=[c["case"] for c in ERROR_TABLE["make_body"]]
+)
+def test_make_body_errors_are_the_recorded_messages(case):
+    # An entry is [labels, mass] on the table's frame, or [labels, mass,
+    # frame labels] for a set from another frame.
+    frame = make_frame(ERROR_TABLE["frame"])
+    entries = [
+        (subset(make_frame(e[2]) if len(e) > 2 else frame, e[0]), e[1]) for e in case["entries"]
+    ]
+    assert _error_message(lambda: make_body(frame, entries)) == case["message"]
