@@ -13,8 +13,8 @@ marginal equals body 0's (the last element's row follows from the totals).
 P is body 0's marginal.  The LP grows with the total size of the focal
 sets, never with the power set.  The system is built from the bodies'
 stored ints: its rows are [A | D*b] with D the lcm of the bodies'
-denominators, and `lp.phase_one_rows` runs simplex phase one on them
-once, when the system is built.  Every target's minimum and maximum start
+denominators, and `lp.phase_one` runs simplex phase one on them once,
+when the system is built.  Every target's minimum and maximum start
 from that feasible basis.  The rows as tagged `lp.LinearConstraint`s are
 built only when `constraints` is first read, as a solve does, so an
 infeasible system never builds them.  The tight interval per target is
@@ -139,11 +139,12 @@ def build_constraints(
 ) -> ProbabilityConstraintSystem:
     """The allocation system of the given bodies, with its phase one run.
 
-    Rows, all equalities with 0/+-1 `int` coefficients and a rational rhs:
-    each focal set of two or more elements splits its mass over its
-    elements; each body after the first has body 0's marginal on every
-    element but the last.  A vacuous body adds one split row.  Only the
-    bodies' `den` and `masses` are read.
+    Rows, all equalities, as the int rows [A | den*b] that `lp.phase_one`
+    takes: 0/+-1 coefficients, then the rhs times den, the lcm of the
+    bodies' denominators.  Each focal set of two or more elements splits
+    its mass over its elements; each body after the first has body 0's
+    marginal on every element but the last.  A vacuous body adds one split
+    row.  Only the bodies' `den` and `masses` are read.
     """
     if not bodies:
         raise ValueError("need at least one body")
@@ -176,7 +177,7 @@ def build_constraints(
             plus, minus = (k, w), (0, w)
             row = [1 if o == plus else -1 if o == minus else 0 for o in owners]
             rows.append((*row, fixed[0][w] - fixed[k][w]))
-    start = lp.phase_one_rows(rows, den, len(owners))
+    start = lp.phase_one(rows, den, len(owners))
     fixed0 = tuple(Fraction(m, den) for m in fixed[0])
     return ProbabilityConstraintSystem(
         frame, tuple(rows), den, tuple(names), tuple(owners), fixed0, start

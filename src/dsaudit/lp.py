@@ -1,9 +1,10 @@
 """Exact linear programming over rationals.
 
 One problem form: minimize c.x subject to A x = b and x >= 0, every row an
-equality.  A and c are `int`s and b is exact, each entry an `int` or a
-`fractions.Fraction`; results are exact `Fraction`s.  A small two-phase
-primal simplex whose tableau holds Python `int`s.  This is fraction-free
+equality.  One input contract: int rows [A | D*b] in, each row the integer
+coefficients and its rhs times a common denominator D of b, and an int
+cost c; exact `Fraction` values out.  A small two-phase primal simplex
+whose tableau holds Python `int`s.  This is fraction-free
 pivoting (Edmonds 1967; Bareiss 1968) on one invariant: with B the basic
 columns of A, every row is d*(B^-1 A)_i for one scale d = |det B| shared by
 all rows.  A pivot on p replaces each other row by
@@ -25,23 +26,19 @@ which starts in the basis, so the start is B = I and d = 1.  Artificials
 have no column: the tableau rows are [A | den*b] from the start, the layout
 phase two uses, and the first reduced-cost row is minus their column sums.
 Only the LP's own columns can enter, and an artificial that leaves the
-basis is never needed again (Chvatal 1983, ch. 8).  The rows are the
-caller's own, unscaled; only the right-hand sides are put over one common
-denominator, the least one.  So for the two-body allocation LP, whose 0/+-1
-matrix is totally unimodular, d stays 1, and a pivot then divides nothing.
-Phase one depends only on the constraints, so it is a value of its own:
-`phase_one` returns a `FeasibleStart` (or None when the system is
-infeasible), and `minimize`/`maximize` run phase two from the start they
-are given, never phase one.  Phase one itself runs on int rows: a caller
-that already holds [A | D*b] over some common denominator D passes them to
-`phase_one_rows`, which divides D and the rhs by their gcd to reach the
-least denominator; `phase_one` checks its `LinearConstraint`s, puts them in
-that form and calls it.  Callers that optimise several objectives over one
-system compute the start once and pass it to every solve.  While the pivot
-entry equals the scale, the update touches only the rows with a nonzero in
-the pivot column, and in them only the nonzero entries of the pivot row,
-since the allocation rows are 0/+-1 and sparse; there is no revised-simplex
-machinery.
+basis is never needed again (Chvatal 1983, ch. 8).  Phase one depends only
+on the rows, so it is a value of its own: `phase_one(rows, den, num_vars)`
+returns a `FeasibleStart` (or None when the system is infeasible), and
+`minimize`/`maximize` run phase two from the start they are given, never
+phase one.  The rows are the caller's own, unchecked and unscaled; phase
+one only divides D and the rhs by their gcd, to reach the least common
+denominator.  So for the two-body allocation LP, whose 0/+-1 matrix is
+totally unimodular, d stays 1, and a pivot then divides nothing.  Callers
+that optimise several objectives over one system compute the start once
+and pass it to every solve.  While the pivot entry equals the scale, the
+update touches only the rows with a nonzero in the pivot column, and in
+them only the nonzero entries of the pivot row, since the allocation rows
+are 0/+-1 and sparse; there is no revised-simplex machinery.
 
 A solve returns `LPSolution(value, basis)`: the optimum and the tableau
 phase two ends on, itself a `FeasibleStart` over the same rows.  An optimal
@@ -57,8 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from typing import ClassVar, Sequence
 
 
@@ -68,8 +64,9 @@ class Sense(Enum):
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """coeffs . x == rhs, with an optional provenance tag.  The coefficients
-    are `int`s; the rhs is an `int` or a `Fraction`."""
+    """coeffs . x == rhs, with an optional provenance tag: one row of a
+    system as a record, for reading.  The coefficients are `int`s; the rhs
+    is an `int` or a `Fraction`.  The solver itself takes int rows."""
 
     coeffs: tuple[int, ...]
     rhs: int | Fraction
@@ -200,31 +197,15 @@ def _run_simplex(
 
 
 def phase_one(
-    constraints: Sequence[LinearConstraint], num_vars: int
-) -> FeasibleStart | None:
-    """A feasible basis for the constraints and x >= 0, or None if none exists.
-
-    It depends on the constraints only, so one start serves every objective
-    minimized or maximized over the same system.
-    """
-    for con in constraints:
-        if len(con.coeffs) != num_vars or not all(map(isinstance, con.coeffs, repeat(int))):
-            raise ValueError(f"constraint is not {num_vars} ints: {con}")
-        if not isinstance(con.rhs, (int, Fraction)):
-            raise ValueError(f"constraint rhs is not an int or a Fraction: {con}")
-    den = lcm(*[con.rhs.denominator for con in constraints])
-    rows = [(*con.coeffs, con.rhs.numerator * (den // con.rhs.denominator)) for con in constraints]
-    return phase_one_rows(rows, den, num_vars)
-
-
-def phase_one_rows(
     rows: Sequence[Sequence[int]], den: int, num_vars: int
 ) -> FeasibleStart | None:
-    """`phase_one` of the system whose rows are [A | den*b]: `num_vars`
-    int coefficients, then the rhs times `den`, a common denominator of b.
+    """A feasible basis for A x = b and x >= 0, or None if none exists.
 
-    The rows are neither checked nor changed.  The start's `den` is
-    den // gcd(den, *rhs), the least common denominator of b.
+    Each row is [A_i | den*b_i]: `num_vars` int coefficients, then the rhs
+    times `den`, a common denominator of b.  The rows are neither checked
+    nor changed.  The start's `den` is den // gcd(den, *rhs), the least
+    common denominator of b.  It depends on the rows only, so one start
+    serves every objective minimized or maximized over the same system.
     """
     # Row i is rows[i] with its rhs over the least common denominator
     # den // g, negated if that is negative.  Its artificial num_vars + i is basic, so B = I and
@@ -265,14 +246,15 @@ def minimize(
 ) -> LPSolution:
     """Minimize objective . x subject to the constraints and x >= 0.
 
-    `start` must be a feasible basis of the same constraints:
-    `phase_one(constraints, num_vars)`, or the basis of an earlier solve.
-    Raises ArithmeticError when the objective is unbounded.  The solve reads
-    the rows of `start` only; `constraints` stays in the signature because
-    bench/dsbench/trace.py binds it by name.
+    `start` must be a feasible basis of the same system: `phase_one` of
+    its rows, or the basis of an earlier solve.  Raises ArithmeticError
+    when the objective is unbounded, and ValueError when it is not
+    `num_vars` entries of type `int` (so a `bool` is refused).  The solve
+    reads the rows of `start` only; `constraints` stays in the signature
+    because bench/dsbench/trace.py binds it by name.
     """
     cost = list(objective)
-    if len(cost) != num_vars or not all(map(isinstance, cost, repeat(int))):
+    if len(cost) != num_vars or set(map(type, cost)) - {int}:
         raise ValueError(f"objective is not {num_vars} ints")
     if start.num_vars != num_vars:
         raise ValueError("start was built for a different num_vars")
@@ -300,5 +282,8 @@ def maximize(
 ) -> LPSolution:
     """Maximize objective . x subject to the constraints and x >= 0; see
     `minimize`."""
+    # Negation would turn a bool into an int that minimize accepts.
+    if set(map(type, objective)) - {int}:
+        raise ValueError(f"objective is not {num_vars} ints")
     sol = minimize([-c for c in objective], constraints, num_vars, start)
     return LPSolution(-sol.value, sol.basis)

@@ -1,12 +1,15 @@
 """The allocation-LP builder as it was before systems were stored as int
 rows: one `LinearConstraint` per row, with a `Fraction` rhs and its tag,
-built from the bodies' `(FocalSet, Fraction)` views, and `lp.phase_one` run
-on those constraints.  Tests compare `build_constraints` with it.
+built from the bodies' `(FocalSet, Fraction)` views.  Phase one runs on
+those constraints put over the lcm of their rhs denominators by
+`slack_form.int_rows`, as the LP did itself before it took int rows only.
+Tests compare `build_constraints` with it.
 """
 
 from fractions import Fraction
 
 from dsaudit import lp
+from slack_form import int_rows
 
 _ZERO = Fraction(0)
 
@@ -44,5 +47,5 @@ def build_constraints(bodies, names=None):
                     f"{names[k]}:marginal:{frame.elements[w]}",
                 )
             )
-    start = lp.phase_one(rows, len(owners))
+    start = lp.phase_one(*int_rows(rows), len(owners))
     return tuple(rows), tuple(owners), tuple(fixed[0]), start

@@ -9,9 +9,11 @@ coefficient +lcm for a "<=" row (a.x + s = b) and -lcm for a ">=" row
 (a.x - s = b).  The objective is multiplied by the lcm of its own
 denominators, and the value is divided back.  Slacks cost nothing, and a
 `Solution`'s point drops them, so it reads over the original variables.
-`phase_one`, `minimize` and `maximize` mirror the signatures in `dsaudit.lp`;
-a `start` must come from this module's `phase_one`, or be the `basis` of one
-of this module's solutions over the same rows.
+`int_rows` puts integer equalities in the form `dsaudit.lp.phase_one`
+takes: the rows [A | den*b] with den the lcm of the rhs denominators.
+`phase_one`, `minimize` and `maximize` take the vertex oracle's rows and a
+variable count; a `start` must come from this module's `phase_one`, or be
+the `basis` of one of this module's solutions over the same rows.
 """
 
 from dataclasses import dataclass
@@ -53,8 +55,16 @@ def _equality_form(rows, num_vars: int) -> tuple[list[lp.LinearConstraint], int]
     return out, width
 
 
+def int_rows(constraints) -> tuple[list[tuple[int, ...]], int]:
+    """The integer equalities as rows [A | den*b] and their den, the lcm of
+    the rhs denominators."""
+    den = lcm(*[Fraction(con.rhs).denominator for con in constraints])
+    return [(*con.coeffs, int(con.rhs * den)) for con in constraints], den
+
+
 def phase_one(rows, num_vars: int) -> lp.FeasibleStart | None:
-    return lp.phase_one(*_equality_form(rows, num_vars))
+    constraints, width = _equality_form(rows, num_vars)
+    return lp.phase_one(*int_rows(constraints), width)
 
 
 def minimize(objective, rows, num_vars: int, start: lp.FeasibleStart) -> Solution:

@@ -257,11 +257,10 @@ def test_crossing_partitions_with_zero_conflict_stay_underdetermined():
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts of lp.phase_one_rows and lp.minimize calls: phase_one and
-    build_constraints go through phase_one_rows, maximize through
+    """Counts of lp.phase_one and lp.minimize calls; maximize goes through
     minimize."""
     counts = Counter()
-    for name in ("phase_one_rows", "minimize"):
+    for name in ("phase_one", "minimize"):
         original = getattr(lp, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -275,7 +274,7 @@ def lp_calls(monkeypatch):
 def test_infeasible_audit_runs_phase_one_once_and_no_solve(lp_calls):
     report = zadeh_fixture()
     assert not report.feasible
-    assert lp_calls == {"phase_one_rows": 1}
+    assert lp_calls == {"phase_one": 1}
 
 
 def test_feasible_audit_runs_phase_one_once(
@@ -299,7 +298,7 @@ def test_feasible_audit_runs_phase_one_once(
         report = audit(list(pair))
         assert report.feasible
         assert [str(f.subset) for f in report.findings] == targets
-        assert lp_calls["phase_one_rows"] == 1
+        assert lp_calls["phase_one"] == 1
         assert lp_calls["minimize"] == solves
 
 
@@ -492,12 +491,15 @@ def test_build_constraints_matches_the_reference_builder(bodies_, named):
     # The int-row builder against the LinearConstraint builder it replaced
     # (tests/constraints_reference.py): equal rows, rhs, tags, owners and
     # fixed masses, and the very same phase-one tableau, basis and den, so
-    # every later pivot is the same too.
+    # every later pivot is the same too.  `lp.phase_one` checks nothing, so
+    # the rows it gets must be exact ints over a positive den.
     names = [f"B{k}" for k in range(len(bodies_))] if named else None
     system = build_constraints(bodies_, names)
     constraints, owners, fixed, start = constraints_reference.build_constraints(bodies_, names)
     event("feasible" if start is not None else "infeasible")
     event(f"{len({b.den for b in bodies_})} distinct den")
+    assert all(type(v) is int for row in system.rows for v in row)
+    assert type(system.den) is int and system.den >= 1
     assert system.start == start
     assert system.owners == owners
     assert system.fixed == fixed

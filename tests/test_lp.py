@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dsaudit import lp
 from lp_oracle import SENSES, Row, bounds_by_vertex_enumeration
-from slack_form import _equality_form, maximize, minimize, phase_one
+from slack_form import _equality_form, int_rows, maximize, minimize, phase_one
 
 F = Fraction
 LE, GE, EQ = "<=", ">=", "=="
@@ -61,22 +61,22 @@ def test_start_must_match_num_vars():
 
 
 _ROW = lp.LinearConstraint((1, 1), F(1, 2))
-_START = lp.phase_one([_ROW], 2)
+_START = lp.phase_one(*int_rows([_ROW]), 2)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: lp.phase_one([lp.LinearConstraint((F(1, 2), 1), 1)], 2),
         lambda: lp.minimize([F(1, 2), 0], [_ROW], 2, _START),
         lambda: lp.maximize([F(1, 2), 0], [_ROW], 2, _START),
-        lambda: lp.phase_one([lp.LinearConstraint((1, 1), 0.5)], 2),
+        lambda: lp.minimize([True, 0], [_ROW], 2, _START),
+        lambda: lp.maximize([True, 0], [_ROW], 2, _START),
     ],
-    ids=["phase_one-coefficient", "minimize-objective", "maximize-objective", "phase_one-float-rhs"],
+    ids=["minimize-objective", "maximize-objective", "minimize-bool", "maximize-bool"],
 )
 def test_fraction_coefficients_are_refused(call):
-    # The tableau is integer, so `//` would floor a Fraction silently; a float
-    # rhs has no exact denominator to scale by.
+    # The tableau is integer, so `//` would floor a Fraction silently.  A
+    # bool is an int to isinstance, and maximize's negation would make it one.
     with pytest.raises(ValueError):
         call()
 
@@ -254,7 +254,7 @@ def test_phase_one_pivots_only_the_lp_columns(system):
         return pivot(rows, *args)
 
     with mock.patch.object(lp, "_pivot", recording):
-        start = lp.phase_one(constraints, width)
+        start = lp.phase_one(*int_rows(constraints), width)
     event("infeasible" if start is None else f"{len(constraints) - len(start.rows)} rows dropped")
     assert seen <= {width + 1}
 
