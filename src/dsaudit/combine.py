@@ -7,11 +7,13 @@ error: no decision set can be formed.
 
 The products are summed as Python ints: each body stores its masses as ints
 over its least common denominator, so every product is an int over the
-product ``da * db`` of the two denominators.  kappa is ``clash / (da * db)``
-and each combined mass is its bucket over ``da * db - clash``; one gcd
-reduces the buckets to the combined body's least denominator.  A result
-stores bitmasks and index pairs; its ``provenance`` and ``conflict_pairs``,
-which name focal sets, are built on first read.
+product ``da * db`` of the two denominators.  The pair loop only sums each
+product into the bucket of its intersection; the empty intersection's bucket
+is the clash.  kappa is ``clash / (da * db)`` and each combined mass is its
+bucket over ``da * db - clash``; one gcd reduces the buckets to the combined
+body's least denominator.  A result keeps the two bodies it combined; its
+``provenance`` and ``conflict_pairs``, which name focal sets and index
+pairs, come from one walk over those bodies' pairs on first read.
 """
 
 from __future__ import annotations
@@ -38,69 +40,74 @@ class TotalConflictError(ArithmeticError):
 class CombinationResult:
     """Outcome of one combination (or of a left fold over several bodies).
 
-    ``sources`` maps each combined focal set's bitmask to the (i, j) index
-    pairs, into the two input focal lists, whose intersections produced it;
-    ``clashes`` lists the bitmask pairs with empty intersection.  The views
-    ``provenance`` (the same map keyed by FocalSet) and ``conflict_pairs``
-    (the clashing FocalSet pairs) are built on first read.  For folds,
-    ``steps`` records each pairwise result in order; it is excluded from
-    equality so a two-body fold compares equal to the plain pairwise
-    combination.
+    ``operands`` holds the two bodies that were combined, or ``()`` when a
+    fold of one body combined nothing.  The views ``provenance`` (each
+    combined focal set with the (i, j) index pairs, into the two operands'
+    focal lists, whose intersections produced it) and ``conflict_pairs``
+    (the FocalSet pairs with empty intersection) are built on first read,
+    from one walk over the operands' pairs.  For folds, ``steps`` records
+    each pairwise result in order; it is excluded from equality so a
+    two-body fold compares equal to the plain pairwise combination.
     """
 
     combined: BodyOfEvidence
     kappa: Fraction
-    sources: Mapping[int, Sequence[tuple[int, int]]]
-    clashes: tuple[tuple[int, int], ...]
+    operands: tuple[BodyOfEvidence, ...] = ()
     steps: tuple["CombinationResult", ...] = field(default=(), compare=False)
 
     @cached_property
+    def _pair_walk(self) -> tuple[dict[int, list[tuple[int, int]]], list[tuple[int, int]]]:
+        """The (i, j) pairs of each non-empty intersection, by bitmask, and the
+        bitmask pairs of the empty ones, in loop order."""
+        sources: dict[int, list[tuple[int, int]]] = {}
+        clashes: list[tuple[int, int]] = []
+        if self.operands:
+            a, b = self.operands
+            for i, (s, _) in enumerate(a.masses):
+                for j, (t, _) in enumerate(b.masses):
+                    inter = s & t
+                    if inter:
+                        sources.setdefault(inter, []).append((i, j))
+                    else:
+                        clashes.append((s, t))
+        return sources, clashes
+
+    @cached_property
     def provenance(self) -> Mapping[FocalSet, tuple[tuple[int, int], ...]]:
-        sources = self.sources
-        return {s: tuple(sources[s.bits]) for s, _ in self.combined.focal if s.bits in sources}
+        sources = self._pair_walk[0]
+        frame = self.combined.frame
+        return {FocalSet(frame, bits): tuple(sources[bits]) for bits in sorted(sources)}
 
     @cached_property
     def conflict_pairs(self) -> tuple[tuple[FocalSet, FocalSet], ...]:
+        clashes = self._pair_walk[1]
         frame = self.combined.frame
-        sets = {bits: FocalSet(frame, bits) for bits in {b for pair in self.clashes for b in pair}}
-        return tuple((sets[s], sets[t]) for s, t in self.clashes)
+        sets = {bits: FocalSet(frame, bits) for bits in {b for pair in clashes for b in pair}}
+        return tuple((sets[s], sets[t]) for s, t in clashes)
 
 
-def _products(
-    a: BodyOfEvidence, b: BodyOfEvidence
-) -> tuple[int, int, dict[int, int], dict[int, list[tuple[int, int]]], list[tuple[int, int]]]:
+def _products(a: BodyOfEvidence, b: BodyOfEvidence) -> tuple[int, int, dict[int, int]]:
     """Every pairwise product of the two bodies' masses, as an int over ``whole``.
 
-    Returns ``(whole, clash, buckets, sources, clashes)``: ``whole`` is
-    ``da * db``; ``clash`` totals the products on empty intersections, whose
-    bitmask pairs ``clashes`` lists in loop order; ``buckets`` maps each
-    non-empty intersection's bitmask to its product total and ``sources``
-    to its (i, j) pairs.
+    Returns ``(whole, clash, buckets)``: ``whole`` is ``da * db``; ``clash``
+    totals the products on empty intersections, and ``buckets`` maps each
+    non-empty intersection's bitmask to its product total.
     """
     require_same_frame(a.frame, b.frame)
-    clash = 0
     buckets: dict[int, int] = {}
-    sources: dict[int, list[tuple[int, int]]] = {}
-    clashes: list[tuple[int, int]] = []
+    get = buckets.get
     b_masses = b.masses
-    for i, (s, ms) in enumerate(a.masses):
-        for j, (t, mt) in enumerate(b_masses):
+    for s, ms in a.masses:
+        for t, mt in b_masses:
             inter = s & t
-            if inter == 0:
-                clash += ms * mt
-                clashes.append((s, t))
-            elif inter in buckets:
-                buckets[inter] += ms * mt
-                sources[inter].append((i, j))
-            else:
-                buckets[inter] = ms * mt
-                sources[inter] = [(i, j)]
-    return a.den * b.den, clash, buckets, sources, clashes
+            buckets[inter] = get(inter, 0) + ms * mt
+    clash = buckets.pop(0, 0)
+    return a.den * b.den, clash, buckets
 
 
 def conflict(a: BodyOfEvidence, b: BodyOfEvidence) -> Fraction:
     """The conflict coefficient: total product mass on empty intersections."""
-    whole, clash, *_ = _products(a, b)
+    whole, clash, _ = _products(a, b)
     return Fraction(clash, whole)
 
 
@@ -116,7 +123,7 @@ def combine(a: BodyOfEvidence, b: BodyOfEvidence) -> CombinationResult:
     bitmask order, on the inputs' checked frame.  The one fact construction
     does not give, that the buckets hold all the mass kappa leaves, is checked.
     """
-    whole, clash, buckets, sources, clashes = _products(a, b)
+    whole, clash, buckets = _products(a, b)
     scale = whole - clash
     if scale == 0:
         raise TotalConflictError(
@@ -132,7 +139,7 @@ def combine(a: BodyOfEvidence, b: BodyOfEvidence) -> CombinationResult:
     g = math.gcd(scale, *buckets.values())
     masses = tuple((bits, buckets[bits] // g) for bits in sorted(buckets))
     combined = BodyOfEvidence(a.frame, scale // g, masses)
-    return CombinationResult(combined, Fraction(clash, whole), sources, tuple(clashes))
+    return CombinationResult(combined, Fraction(clash, whole), (a, b))
 
 
 def combine_many(bodies: Sequence[BodyOfEvidence]) -> CombinationResult:
@@ -158,6 +165,6 @@ def combine_many(bodies: Sequence[BodyOfEvidence]) -> CombinationResult:
         steps.append(result)
         acc = result.combined
     if not steps:
-        return CombinationResult(acc, Fraction(0), {}, ())
+        return CombinationResult(acc, Fraction(0))
     last = steps[-1]
-    return CombinationResult(last.combined, last.kappa, last.sources, last.clashes, tuple(steps))
+    return CombinationResult(last.combined, last.kappa, last.operands, tuple(steps))

@@ -9,9 +9,12 @@ one ``(bitmask, int)`` pair per focal set, so the mass of focal set S is
 ``Fraction(int, den)``.  ``make_body``, ``combine`` and ``mass_from_belief``
 keep ``den`` the least such denominator, so equal bodies have equal fields
 and equal hashes.  ``focal``, the ``(FocalSet, Fraction)`` pairs, is built
-on first read and kept.  ``make_body`` reads each ``(FocalSet, mass)`` entry
-and hands its bitmask and exact mass to ``make_body_bits``, which holds
-every check; document parsing calls ``make_body_bits`` directly.
+on first read and kept.  ``mass_ratio``, the one mass parser, reads a mass
+as a reduced ``(numerator, denominator)`` int pair; ``as_mass`` makes that a
+Fraction.  ``make_body`` reads each ``(FocalSet, mass)`` entry and hands its
+bitmask and int pair to ``make_body_bits``, which holds every check;
+document parsing calls ``make_body_bits`` directly, so no entry's mass
+becomes a Fraction unless an error message shows it.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ def _shown(value: object) -> str:
     return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
 
 
-def _plain_fraction(text: str) -> Fraction | None:
-    """``text`` read by int() alone if it is a plain ASCII "p/q" with q
-    nonzero or a plain "n", of at most _PLAIN_LENGTH characters; else None."""
+def _plain_ratio(text: str) -> tuple[int, int] | None:
+    """``text`` read by int() alone, as a reduced ``(numerator, denominator)``,
+    if it is a plain ASCII "p/q" with q nonzero or a plain "n", of at most
+    _PLAIN_LENGTH characters; else None."""
     if len(text) > _PLAIN_LENGTH or not text.isascii():
         return None
     num, slash, den = text.partition("/")
@@ -67,11 +71,14 @@ def _plain_fraction(text: str) -> Fraction | None:
     except ValueError:
         # A digit limit lowered below 4300: Fraction(text) reports it.
         return None
-    return Fraction(p, q) if q else None
+    if not q:
+        return None
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
-def _parse_mass_string(text: str) -> Fraction:
-    plain = _plain_fraction(text)
+def _parse_mass_string(text: str) -> tuple[int, int]:
+    plain = _plain_ratio(text)
     if plain is not None:
         return plain
     if len(text) > MAX_MASS_LENGTH:
@@ -88,16 +95,19 @@ def _parse_mass_string(text: str) -> Fraction:
             )
     # Fraction's own messages may repeat the whole input, so they are not kept.
     try:
-        return Fraction(text)
+        m = Fraction(text)
     except ZeroDivisionError:
         reason = "zero denominator"
     except ValueError:
         reason = "not a fraction, integer or decimal with at most 4300 digits per number"
+    else:
+        return m.numerator, m.denominator
     raise EvidenceError(f"cannot parse mass {_shown(text)}: {reason}")
 
 
-def as_mass(value: object) -> Fraction:
-    """Coerce a mass to an exact Fraction; the package's only mass parser.
+def mass_ratio(value: object) -> tuple[int, int]:
+    """A mass as a reduced ``(numerator, denominator)`` int pair, the
+    denominator positive; the package's only mass parser.
 
     Accepts Fractions, ints, and strings ("1/4", "0.25", "3").  Floats are
     rejected: a binary float silently misrepresents most decimal inputs, and
@@ -107,9 +117,9 @@ def as_mass(value: object) -> Fraction:
     if isinstance(value, str):
         return _parse_mass_string(value)
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return int(value), 1
     message = (
         f"mass must be a Fraction, int, or string, not {type(value).__name__}: "
         f"{_shown(value)}"
@@ -117,6 +127,13 @@ def as_mass(value: object) -> Fraction:
     if isinstance(value, float):
         message += '; quote the value as a string (e.g. "1/4" or "0.25")'
     raise EvidenceError(message)
+
+
+def as_mass(value: object) -> Fraction:
+    """`mass_ratio` as an exact Fraction; a Fraction is returned as it is."""
+    if not isinstance(value, str) and isinstance(value, Fraction):
+        return value
+    return Fraction(*mass_ratio(value))
 
 
 @dataclass(frozen=True)
@@ -167,7 +184,9 @@ def make_body(
     Raises EvidenceError on: positive mass on the empty set, negative mass,
     duplicate focal sets, or masses not summing to exactly 1.
     """
-    return make_body_bits(frame, ((_bits_on(frame, s), as_mass(raw)) for s, raw in assignments))
+    return make_body_bits(
+        frame, ((_bits_on(frame, s), *mass_ratio(raw)) for s, raw in assignments)
+    )
 
 
 def _bits_on(frame: Frame, s: FocalSet) -> int:
@@ -175,26 +194,27 @@ def _bits_on(frame: Frame, s: FocalSet) -> int:
     return s.bits
 
 
-def make_body_bits(frame: Frame, masses: Iterable[tuple[int, Fraction]]) -> BodyOfEvidence:
-    """`make_body` of ``(bitmask, Fraction)`` pairs over ``frame``, with its
+def make_body_bits(frame: Frame, masses: Iterable[tuple[int, int, int]]) -> BodyOfEvidence:
+    """`make_body` of ``(bitmask, numerator, denominator)`` triples over
+    ``frame``, each mass a reduced pair as `mass_ratio` gives it, with its
     checks in the same order; an entry is read only after the one before it
     passed."""
     seen: set[int] = set()
-    kept: list[tuple[int, Fraction]] = []
-    for bits, m in masses:
-        if m.numerator < 0:
-            raise EvidenceError(f"negative mass {m} on {FocalSet(frame, bits)}")
+    kept: list[tuple[int, int, int]] = []
+    for bits, num, d in masses:
+        if num < 0:
+            raise EvidenceError(f"negative mass {Fraction(num, d)} on {FocalSet(frame, bits)}")
         if bits in seen:
             raise EvidenceError(f"duplicate focal set {FocalSet(frame, bits)}")
         seen.add(bits)
-        if not m.numerator:
+        if not num:
             continue
         if bits == 0:
-            raise EvidenceError(f"positive mass {m} on the empty set")
-        kept.append((bits, m))
+            raise EvidenceError(f"positive mass {Fraction(num, d)} on the empty set")
+        kept.append((bits, num, d))
     # The lcm of reduced denominators is the least common denominator.
-    den = math.lcm(*(m.denominator for _, m in kept))
-    scaled = sorted((bits, m.numerator * (den // m.denominator)) for bits, m in kept)
+    den = math.lcm(*(d for _, _, d in kept))
+    scaled = sorted((bits, num * (den // d)) for bits, num, d in kept)
     total = sum(m for _, m in scaled)
     if total != den:
         raise EvidenceError(f"masses must sum to exactly 1, got {Fraction(total, den)}")

@@ -9,7 +9,7 @@ for deterministic output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # An audit's LP has one variable per element of each focal set with two or
 # more elements, so its size grows with the frame; the cap keeps that exact
@@ -65,11 +65,19 @@ class Frame:
     def size(self) -> int:
         return len(self.elements)
 
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise FrameError(f"unknown label {label!r}; frame is {list(self.elements)}") from None
+    def bits_of(self, labels: Iterable[str]) -> int:
+        """The bitmask of the listed labels; FrameError names the first one
+        the frame does not have."""
+        index = self._index
+        bits = 0
+        for label in labels:
+            try:
+                bits |= 1 << index[label]
+            except KeyError:
+                raise FrameError(
+                    f"unknown label {label!r}; frame is {list(self.elements)}"
+                ) from None
+        return bits
 
     def empty(self) -> FocalSet:
         return FocalSet(self, 0)
@@ -120,10 +128,7 @@ def subset(frame: Frame, members: Sequence[str]) -> FocalSet:
     """
     if isinstance(members, str):
         raise FrameError(f"a subset takes a sequence of labels, not the string {members!r}")
-    bits = 0
-    for label in members:
-        bits |= 1 << frame.index(label)
-    return FocalSet(frame, bits)
+    return FocalSet(frame, frame.bits_of(members))
 
 
 def require_same_frame(first: Frame, second: Frame) -> None:

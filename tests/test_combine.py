@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,15 @@ def test_combine_many_single_body(partition_pair):
     assert result.combined == body
     assert result.kappa == 0
     assert result.steps == ()
+    assert result.operands == ()
+    assert result.provenance == {} and result.conflict_pairs == ()
+
+
+def test_a_result_keeps_its_operands_and_no_pair_lists(partition_pair):
+    # The pair loop only sums; provenance is walked from the operands.
+    result = combine(*partition_pair)
+    assert [f.name for f in fields(result)] == ["combined", "kappa", "operands", "steps"]
+    assert result.operands == partition_pair
 
 
 def test_combine_many_with_vacuous(partition_pair, abc):

@@ -1,10 +1,13 @@
 """Evidence document parsing, validation context, and size limits."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from dsaudit import (
     FRAME_SIZE_CAP,
@@ -19,7 +22,7 @@ from dsaudit import (
     subset,
 )
 from dsaudit.documents import load_document
-from dsaudit.evidence import EvidenceError, as_mass
+from dsaudit.evidence import EvidenceError, as_mass, mass_ratio
 from dsaudit.frames import FocalSet, FrameError
 
 GOOD = """
@@ -177,13 +180,13 @@ def test_parsing_builds_no_focal_set_and_parses_each_mass_once(monkeypatch):
 
     parsed = []
 
-    def counted_as_mass(value):
+    def counted_mass_ratio(value):
         parsed.append(value)
-        return as_mass(value)
+        return mass_ratio(value)
 
     monkeypatch.setattr(FocalSet, "__post_init__", counted_post_init)
-    monkeypatch.setattr(evidence, "as_mass", counted_as_mass)
-    monkeypatch.setattr(documents, "as_mass", counted_as_mass)
+    monkeypatch.setattr(evidence, "mass_ratio", counted_mass_ratio)
+    monkeypatch.setattr(documents, "mass_ratio", counted_mass_ratio)
     text = json.dumps(
         {
             "frame": ["a", "b", "c", "d"],
@@ -237,3 +240,79 @@ def test_make_body_errors_are_the_recorded_messages(case):
         (subset(make_frame(e[2]) if len(e) > 2 else frame, e[0]), e[1]) for e in case["entries"]
     ]
     assert _error_message(lambda: make_body(frame, entries)) == case["message"]
+
+
+_LABELS = ("a", "b", "c", "d")
+
+
+@st.composite
+def _written_mass(draw, m):
+    """``m`` as a document may write it: plain or unreduced "p/q", a
+    decimal, a JSON int, a leading "+", or one of the ways to write 0."""
+    k = draw(st.integers(2, 5))
+    forms = [str(m), f"{m.numerator * k}/{m.denominator * k}"]
+    if m >= 0:
+        forms.append(f"+{m}")
+    if 10**6 % m.denominator == 0:
+        forms.append(str(Decimal(m.numerator) / Decimal(m.denominator)))
+    if m.denominator == 1:
+        forms.append(m.numerator)
+    if m == 0:
+        forms += ["0", 0, "0/7", "0.0"]
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _documents(draw):
+    """A one-body document on 1-4 labels, as its frame labels and its
+    entries: sets may repeat, be empty or name a label the frame lacks, and
+    masses may be negative or zero; half the time the masses sum to 1."""
+    size = draw(st.integers(1, len(_LABELS)))
+    rare = st.sampled_from([False] * 9 + [True])
+    masses = [
+        -m if draw(rare) else m
+        for m in draw(st.lists(st.fractions(0, 1, max_denominator=8), max_size=5))
+    ]
+    if draw(st.booleans()):
+        masses.append(1 - sum(masses))
+    entries = []
+    for m in masses:
+        members = [] if draw(rare) else draw(st.lists(st.sampled_from(_LABELS[:size]), min_size=1))
+        if size < len(_LABELS) and draw(rare):
+            members.append(_LABELS[size])
+        entries.append((members, draw(_written_mass(m))))
+    return list(_LABELS[:size]), entries
+
+
+def _library_outcome(labels, entries):
+    """What the library gives for the entries, or the message a document
+    with them would carry: labels and masses are read entry by entry
+    first, then the body is checked."""
+    frame = make_frame(labels)
+    sets = []
+    for k, (members, mass) in enumerate(entries):
+        try:
+            sets.append(subset(frame, members))
+            as_mass(mass)
+        except (FrameError, EvidenceError) as exc:
+            return f"<input>: body 'A', entry {k + 1}: {exc}"
+    try:
+        return make_body(frame, [(s, mass) for s, (_, mass) in zip(sets, entries)])
+    except EvidenceError as exc:
+        return f"<input>: body 'A': {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+def test_a_document_parses_to_the_body_make_body_builds(document):
+    labels, entries = document
+    text = json.dumps(
+        {"frame": labels, "bodies": {"A": [{"set": s, "mass": m} for s, m in entries]}}
+    )
+    try:
+        got = parse_document(text).bodies["A"]
+    except DocumentError as exc:
+        got = str(exc)
+    want = _library_outcome(labels, entries)
+    assert got == want
+    event(want.split(": ")[-1].split(" ")[0] if isinstance(want, str) else "body")

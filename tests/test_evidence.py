@@ -204,7 +204,7 @@ def _outcome(text):
 
 def _outcome_without_plain_path(text):
     """What as_mass gives when every string takes the Fraction(text) path."""
-    with mock.patch.object(evidence, "_plain_fraction", lambda text: None):
+    with mock.patch.object(evidence, "_plain_ratio", lambda text: None):
         return _outcome(text)
 
 

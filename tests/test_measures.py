@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import event, given, settings
@@ -24,6 +25,7 @@ from dsaudit import (
     vacuous,
 )
 from dsaudit import measures
+from dsaudit.combine import CombinationResult
 from dsaudit.frames import FocalSet, enumerate_subsets
 from dsaudit.measures import (
     MeasureTable,
@@ -631,9 +633,23 @@ def test_combination_tables_and_inversion_build_no_view(monkeypatch):
     recovered = mass_from_belief(bel)
     assert recovered == result.combined
     assert built == []
-    views = {"focal", "provenance", "conflict_pairs"}
+    views = {"focal", "provenance", "conflict_pairs", "_pair_walk"}
     for obj in (*bodies, recovered, result, *result.steps, *(r.combined for r in result.steps)):
         assert not views & vars(obj).keys()
-    # Every step clashes, so each view has something to build.
-    assert all(r.conflict_pairs and r.provenance for r in result.steps)
+    assert result.operands == result.steps[-1].operands == (result.steps[0].combined, bodies[2])
+    # Every step clashes, so each view has something to build, and both
+    # views of a step come from one walk over its operands' pairs.
+    walks = []
+    walk = CombinationResult.__dict__["_pair_walk"]
+
+    def counted_walk(self):
+        walks.append(self)
+        return walk.func(self)
+
+    counted = cached_property(counted_walk)
+    counted.__set_name__(CombinationResult, "_pair_walk")
+    monkeypatch.setattr(CombinationResult, "_pair_walk", counted)
+    for r in result.steps:
+        assert r.provenance and r.conflict_pairs
+    assert list(map(id, walks)) == list(map(id, result.steps))
     assert built
