@@ -26,8 +26,17 @@ and max P(S) = 1 - min P(complement).  An audit takes its targets in
 ascending bitmask order, and a target whose complement came earlier gets
 [1 - upper, 1 - lower] of that target's interval.  A feasible audit knows
 the empty set's [0, 0] from the start, so the whole frame, its complement,
-gets [1, 1] with no LP.  So a feasible audit solves two LPs per remaining
-target, and an infeasible one none.
+gets [1, 1] with no LP.  So a feasible audit asks for at most two LPs per
+remaining target, and an infeasible one none.
+
+Many of those LPs are settled without a solve.  Every feasible P has
+max_k bel_k(S) <= P(S) <= min_k pl_k(S) (Dempster 1967), so when a
+feasible point already in hand attains one of these per-body bounds, that
+bound is the optimum.  The system keeps such points as witnesses: phase
+one's start, seeded on the first bound asked for, and the optimum of every
+solve since.  Each is one int per element over den*d, and each per-body
+bound is an int sum over den, so the witness check compares ints.  Only a
+side that no witness settles is solved.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from . import lp
@@ -57,9 +66,15 @@ class ProbabilityConstraintSystem:
     [A | den*b], `names` the bodies' names, `owners` the (body index,
     element index) of each variable, and `fixed` body 0's singleton masses
     per element: P(w) is fixed[w] plus body 0's variables owned by w.
-    `start` is the simplex phase one of the rows: None when no distribution
-    satisfies every body.  `constraints`, the rows as tagged
-    `lp.LinearConstraint`s, is built on first read and kept.
+    `masses` holds each body's (bitmask, int) masses over den.  `start` is
+    the simplex phase one of the rows: None when no distribution satisfies
+    every body.  `constraints`, the rows as tagged `lp.LinearConstraint`s,
+    is built on first read and kept.
+
+    `witnesses` is the memo that `probability_bounds` fills: distinct
+    feasible distributions, oldest first, each as (d, p) with P(w) =
+    p[w] / (den*d).  It starts empty, so a copy made by
+    `dataclasses.replace` starts afresh.
     """
 
     frame: Frame
@@ -68,7 +83,11 @@ class ProbabilityConstraintSystem:
     names: tuple[str, ...]
     owners: tuple[tuple[int, int], ...] = field(repr=False)
     fixed: tuple[Fraction, ...] = field(repr=False)
+    masses: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
     start: lp.FeasibleStart | None = field(compare=False, repr=False)
+    witnesses: dict[tuple[int, tuple[int, ...]], None] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def feasible(self) -> bool:
@@ -159,18 +178,18 @@ def build_constraints(
     n = frame.size
     den = lcm(*[b.den for b in bodies])
     width = sum(bits.bit_count() for b in bodies for bits, _ in b.masses if bits & (bits - 1))
+    masses = tuple(tuple((bits, m * (den // b.den)) for bits, m in b.masses) for b in bodies)
     fixed = [[0] * n for _ in bodies]
     owners: list[tuple[int, int]] = []
     rows: list[tuple[int, ...]] = []
-    for k, body in enumerate(bodies):
-        scale = den // body.den
-        for bits, m in body.masses:
+    for k, body in enumerate(masses):
+        for bits, m in body:
             if not bits & (bits - 1):
-                fixed[k][bits.bit_length() - 1] = m * scale
+                fixed[k][bits.bit_length() - 1] = m
                 continue
             members = [w for w in range(n) if bits >> w & 1]
             before, size = len(owners), len(members)
-            rows.append((0,) * before + (1,) * size + (0,) * (width - before - size) + (m * scale,))
+            rows.append((0,) * before + (1,) * size + (0,) * (width - before - size) + (m,))
             owners.extend([(k, w) for w in members])
     for k in range(1, len(bodies)):
         for w in range(n - 1):
@@ -180,24 +199,73 @@ def build_constraints(
     start = lp.phase_one(rows, den, len(owners))
     fixed0 = tuple(Fraction(m, den) for m in fixed[0])
     return ProbabilityConstraintSystem(
-        frame, tuple(rows), den, tuple(names), tuple(owners), fixed0, start
+        frame, tuple(rows), den, tuple(names), tuple(owners), fixed0, masses, start
     )
+
+
+def _remember(system: ProbabilityConstraintSystem, basis: lp.FeasibleStart) -> None:
+    """Add the distribution at a basis to the system's witnesses.
+
+    The basis holds x_b = rhs / (d * basis.den) for each basic b, and den
+    is a multiple of basis.den, so P(w) * den * d is d times body 0's fixed
+    mass on w plus den // basis.den times the rhs of body 0's basic
+    variables owned by w.  The ints are divided by their gcd with d, so one
+    distribution has one key."""
+    d = basis.rows[0][basis.basis[0]] if basis.rows else 1
+    p = [0] * system.frame.size
+    for bits, m in system.masses[0]:
+        if not bits & (bits - 1):
+            p[bits.bit_length() - 1] = d * m
+    ratio, owners = system.den // basis.den, system.owners
+    for row, b in zip(basis.rows, basis.basis):
+        k, w = owners[b]
+        if k == 0:
+            p[w] += ratio * row[-1]
+    g = gcd(d, *p)
+    system.witnesses[(d // g, tuple([v // g for v in p]))] = None
 
 
 def probability_bounds(
     system: ProbabilityConstraintSystem, target: FocalSet
 ) -> ProbabilityInterval:
-    """Exact min and max of P(target) over the feasible polytope."""
+    """Exact min and max of P(target) over the feasible polytope.
+
+    The min is at least max_k bel_k(target) and the max at most min_k
+    pl_k(target) (Dempster 1967).  A side whose per-body bound one of the
+    system's witnesses attains is that bound, with no LP; the witnesses are
+    checked newest first.  Each remaining side is one LP from the system's
+    start, and the point it ends on becomes a witness.
+    """
     require_same_frame(system.frame, target.frame)
     if not system.feasible:
         return ProbabilityInterval(target, None, None)
-    bits = target.bits
+    witnesses, den, bits = system.witnesses, system.den, target.bits
+    if not witnesses:
+        _remember(system, system.start)
+    low = max([sum([m for t, m in body if not t & ~bits]) for body in system.masses])
+    high = den - max([sum([m for t, m in body if not t & bits]) for body in system.masses])
+    members = [w for w in range(system.frame.size) if bits >> w & 1]
+    lower = upper = None
+    for d, p in reversed(witnesses):
+        at = sum([p[w] for w in members])
+        if lower is None and at == low * d:
+            lower = Fraction(low, den)
+        if upper is None and at == high * d:
+            upper = Fraction(high, den)
+        if lower is not None and upper is not None:
+            return ProbabilityInterval(target, lower, upper)
     objective = [1 if k == 0 and bits >> w & 1 else 0 for k, w in system.owners]
-    base = sum([m for w, m in enumerate(system.fixed) if bits >> w & 1], _ZERO)
+    base = sum([system.fixed[w] for w in members], _ZERO)
     n = len(objective)
-    low = lp.minimize(objective, system.constraints, n, start=system.start)
-    high = lp.maximize(objective, system.constraints, n, start=system.start)
-    return ProbabilityInterval(target, base + low.value, base + high.value)
+    if lower is None:
+        low_sol = lp.minimize(objective, system.constraints, n, start=system.start)
+        _remember(system, low_sol.basis)
+        lower = base + low_sol.value
+    if upper is None:
+        high_sol = lp.maximize(objective, system.constraints, n, start=system.start)
+        _remember(system, high_sol.basis)
+        upper = base + high_sol.value
+    return ProbabilityInterval(target, lower, upper)
 
 
 def _verdict(

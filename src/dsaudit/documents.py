@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from .evidence import BodyOfEvidence, EvidenceError, make_body_bits, mass_ratio
 from .frames import FRAME_SIZE_CAP, Frame, FrameError, make_frame
 
-# An audit solves two LPs per target, and every focal set of the combined body
-# is a target.  Each further body can multiply the combined focal sets by up to
+# An audit solves up to two LPs per target (fewer when the witness check of
+# `consistency.probability_bounds` settles a side), and every focal set of the
+# combined body is a target.  Each further body can multiply the combined focal sets by up to
 # MAX_FOCAL_SETS, so both counts are capped before any mass is parsed.
 # MAX_FOCAL_SETS admits a Bayesian body on the largest frame; combining four
 # bodies at that cap took 0.012 s and gave 12950 focal sets, five took 0.075 s

@@ -2,6 +2,8 @@
 its examples run as printed."""
 
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,3 +50,15 @@ def test_the_readme_library_snippet_runs_as_commented():
     report = namespace["report"]
     singletons = [f.verdict for f in report.findings if f.subset.bits.bit_count() == 1]
     assert singletons == [Verdict.VIOLATION] * report.combined.frame.size
+
+
+def test_the_stdlib_smoke_script_passes_in_a_fresh_process():
+    # CI runs tests/smoke_stdlib.py before installing click, pytest or
+    # hypothesis; here it runs in a process of its own, so that the library
+    # it imports has not been imported by the tests.
+    script = Path(__file__).parent / "smoke_stdlib.py"
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.endswith("4/4 checks passed\n")

@@ -1,19 +1,23 @@
 """Probability bounds from evidence and the combination audit."""
 
 import json
+import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
+from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dsaudit import (
     TotalConflictError,
     Verdict,
     audit,
+    belief,
     build_constraints,
     make_body,
     make_frame,
@@ -22,7 +26,7 @@ from dsaudit import (
     subset,
     vacuous,
 )
-from dsaudit import lp
+from dsaudit import consistency, lp
 from dsaudit.consistency import ProbabilityConstraintSystem
 from dsaudit.frames import FocalSet, enumerate_subsets
 from dsaudit.repro import zadeh_fixture
@@ -284,15 +288,23 @@ def test_feasible_audit_runs_phase_one_once(
         make_body(abc, [(subset(abc, ["a"]), "1/2"), (abc.universe(), "1/2")]),
         make_body(abc, [(subset(abc, ["b"]), "1/2"), (abc.universe(), "1/2")]),
     )
-    # Two solves per target that is neither the frame nor the complement of
-    # an earlier target in ascending bitmask order.
+    # A target that is neither the frame nor the complement of an earlier
+    # target in ascending bitmask order asks for its min and its max.  Each
+    # side whose per-body bound (max_k bel_k, min_k pl_k) a witness attains
+    # costs no solve; the others cost one each (maximize goes through
+    # minimize, so a max counts once).
     for pair, targets, solves in [
-        # No target is the frame or a complement.
-        (partition_bodies_pair, ["{a}", "{b}", "{c}"], 6),
-        # quasi-x-xbar-y at (1/4, 1/2, 1/2): {c} is read off {a,b}.
-        (quasi_bodies_pair, ["{a}", "{b}", "{a,b}", "{c}"], 6),
-        # The frame is a combined focal set and costs no LP.
-        (singletons_with_frame, ["{a}", "{b}", "{c}", "{a,b,c}"], 6),
+        # P is pinned to (1/4, 1/4, 1/2).  {a} and {c} are at bel_A({a}) and
+        # bel_B({c}), which equal their pl; {b} is at neither
+        # (max bel = 0, min pl = 1/2), so both of its sides are solved.
+        (partition_bodies_pair, ["{a}", "{b}", "{c}"], 2),
+        # quasi-x-xbar-y at (1/4, 1/2, 1/2): the min of {a} and the max of {b}
+        # are solved; {a,b} is settled by the witnesses, and {c} is read off
+        # {a,b}.
+        (quasi_bodies_pair, ["{a}", "{b}", "{a,b}", "{c}"], 2),
+        # P is pinned to (1/2, 1/2, 0), but pl({c}) = 1/2, so only the max of
+        # {c} is solved.  The frame is a combined focal set and costs no LP.
+        (singletons_with_frame, ["{a}", "{b}", "{c}", "{a,b,c}"], 1),
     ]:
         lp_calls.clear()
         report = audit(list(pair))
@@ -317,16 +329,37 @@ def audited_bodies(draw):
     return out
 
 
+def _cold_bounds(system, target):
+    """min and max of P(target) by one LP each from the system's phase-one
+    start, plus body 0's fixed mass on target: the route that reads no
+    witness."""
+    if not system.feasible:
+        return None, None
+    bits = target.bits
+    objective = [1 if k == 0 and bits >> w & 1 else 0 for k, w in system.owners]
+    base = sum([m for w, m in enumerate(system.fixed) if bits >> w & 1], F(0))
+    n = len(objective)
+    low = lp.minimize(objective, system.constraints, n, system.start)
+    high = lp.maximize(objective, system.constraints, n, system.start)
+    return base + low.value, base + high.value
+
+
 @settings(max_examples=150, deadline=None)
 @given(audited_bodies())
 def test_audit_bounds_equal_direct_solves(bodies_):
-    # The frame's [1, 1] and every interval read off a complement's solve
-    # must equal both LPs solved for that target itself.
-    try:
-        report = audit(bodies_)
-    except TotalConflictError:
-        event("total conflict")
-        return
+    # The frame's [1, 1], every interval read off a complement's solve and
+    # every side settled by a witness must equal both LPs solved cold for
+    # that target itself.
+    with mock.patch.object(
+        consistency, "probability_bounds", wraps=probability_bounds
+    ) as asked, mock.patch.object(lp, "minimize", wraps=lp.minimize) as solves, mock.patch.object(
+        lp, "maximize", wraps=lp.maximize
+    ) as maxima:
+        try:
+            report = audit(bodies_)
+        except TotalConflictError:
+            event("total conflict")
+            return
     full = (1 << report.system.frame.size) - 1
     targets = {f.subset.bits for f in report.findings}
     event("infeasible" if not report.feasible else "feasible")
@@ -334,8 +367,99 @@ def test_audit_bounds_equal_direct_solves(bodies_):
         event("frame is a target")
     if any(full ^ bits in targets for bits in targets if bits != full):
         event("complement pair")
+    # maximize goes through minimize, so the min solves are the difference.
+    if report.feasible and solves.call_count - maxima.call_count < asked.call_count:
+        event("min from witness")
+    if report.feasible and maxima.call_count < asked.call_count:
+        event("max from witness")
     for f in report.findings:
-        assert f.prob == probability_bounds(report.system, f.subset)
+        assert (f.prob.lower, f.prob.upper) == _cold_bounds(report.system, f.subset)
+
+
+@st.composite
+def witness_bodies(draw):
+    """2-4 bodies on 3-8 elements.  In half the draws every body is built
+    around one distribution P: each element's weight goes to a focal set
+    that holds it, so P is feasible for every body.  The other half draw
+    each body's focal sets and masses freely, and are often infeasible."""
+    frame = make_frame([f"e{i}" for i in range(draw(st.integers(3, 8)))])
+    n, full = frame.size, (1 << frame.size) - 1
+    count = draw(st.integers(2, 4))
+    if not draw(st.booleans()):
+        event("free bodies")
+        return [draw(bodies(frame=frame, max_focal=4)) for _ in range(count)]
+    event("one distribution")
+    weights = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+    out = []
+    for _ in range(count):
+        pool = draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+        mass = Counter()
+        for w, weight in enumerate(weights):
+            if weight:
+                mass[draw(st.sampled_from(pool)) | 1 << w] += weight
+        total = sum(weights)
+        out.append(make_body(frame, [(FocalSet(frame, b), F(m, total)) for b, m in mass.items()]))
+    return out
+
+
+_E6 = make_frame([f"e{i}" for i in range(6)])
+# Three bodies, found by a seeded search, some of whose solves end on a
+# basis with |det B| = 2, so that a witness holds P at scale d = 2 after its
+# gcd is taken out, and whose body 0 fixes the mass of {e4}.  Random draws
+# reach d = 2 in about one example in 150.
+_SCALED_WITNESS = [
+    make_body(_E6, [(subset(_E6, s.split()), F(m, 19)) for s, m in pairs])
+    for pairs in (
+        [("e0 e2 e3", 1), ("e4", 4), ("e0 e2 e3 e5", 4), ("e0 e1 e3 e4 e5", 9),
+         ("e0 e1 e2 e3 e4 e5", 1)],
+        [("e0 e3", 1), ("e1 e2 e3", 6), ("e1 e2 e3 e5", 4), ("e2 e4 e5", 4),
+         ("e0 e2 e4 e5", 4)],
+        [("e0 e1 e3 e4", 4), ("e0 e1 e2 e3 e4", 1), ("e4 e5", 4), ("e0 e4 e5", 4),
+         ("e1 e4 e5", 5), ("e3 e4 e5", 1)],
+    )
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(witness_bodies(), st.randoms(use_true_random=False))
+@example(_SCALED_WITNESS, random.Random(0))
+def test_witness_bounds_equal_cold_solves(bodies_, rng):
+    # Every nonempty subset's bounds, asked of a fresh system (whose memo
+    # holds only the start once it is seeded) and of one whose memo was
+    # filled by asking for every subset in a shuffled order, equal two cold
+    # LPs.
+    system = build_constraints(bodies_)
+    event("feasible" if system.feasible else "infeasible")
+    frame = system.frame
+    targets = [FocalSet(frame, bits) for bits in range(1, 1 << frame.size)]
+    cold = {s.bits: _cold_bounds(system, s) for s in targets}
+    for s in targets:
+        interval = probability_bounds(replace(system), s)
+        assert (interval.lower, interval.upper) == cold[s.bits]
+    filled = replace(system)
+    rng.shuffle(targets)
+    for s in targets:
+        interval = probability_bounds(filled, s)
+        assert (interval.lower, interval.upper) == cold[s.bits]
+    for s in targets:
+        interval = probability_bounds(filled, s)
+        assert (interval.lower, interval.upper) == cold[s.bits]
+    # Every witness is a distribution that every body allows: P(S) >= bel(S)
+    # for all S is that condition (Dempster 1967), checked through `belief`.
+    for d, p in filled.witnesses:
+        assert sum(p) == system.den * d and min(p) >= 0
+        for s in targets:
+            at = F(sum(p[w] for w in range(frame.size) if s.bits >> w & 1), system.den * d)
+            assert all(belief(body, s) <= at for body in bodies_)
+
+
+def test_the_scaled_example_holds_a_witness_at_scale_two():
+    # So the example of the test above reads a witness whose ints are over
+    # den * 2, where a wrong scale shows.
+    system = build_constraints(_SCALED_WITNESS)
+    for bits in range(1, 1 << _E6.size):
+        probability_bounds(system, FocalSet(_E6, bits))
+    assert 2 in {d for d, _ in system.witnesses}
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,0 +1,78 @@
+"""Seeded wide audit inputs: several bodies of many focal sets on 12-24 elements.
+
+These are the systems on which the cost of an audit is measured by hand, and
+the widest that tier-1 audits.  One system is a pure function of
+(seed, bodies, n, k):
+
+- the frame is e0..e{n-1};
+- one `random.Random(seed*1000 + bodies*100 + n*10 + k)` serves every body in
+  turn;
+- each body draws k distinct nonempty bitmasks with `rng.sample`, then cuts
+  60 at `sorted(rng.sample(range(1, 60), k - 1))` into k positive parts;
+- the parts, over 60, go to the sets in ascending bitmask order.
+
+`finding_hash` is the first 10 hex digits of the sha256 of
+`repr([(f.subset.bits, f.prob.lower, f.prob.upper) for f in findings])`.
+
+Run as a script, it audits every table row at seeds 1 and 2 and prints each
+hash with the pivot count and the audit's wall time:
+
+    PYTHONPATH=src python tests/wide_systems.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import time
+from fractions import Fraction
+
+from dsaudit import audit, make_body, make_frame
+from dsaudit.frames import FocalSet
+
+# (bodies, n, k): the three that tier-1 audits, then the two slower ones.
+TABLE = ((2, 16, 16), (3, 12, 10), (4, 12, 8), (2, 24, 15), (3, 16, 10))
+
+
+def wide_bodies(seed: int, bodies: int, n: int, k: int) -> list:
+    rng = random.Random(seed * 1000 + bodies * 100 + n * 10 + k)
+    frame = make_frame([f"e{i}" for i in range(n)])
+    out = []
+    for _ in range(bodies):
+        masks = sorted(rng.sample(range(1, 1 << n), k))
+        cuts = sorted(rng.sample(range(1, 60), k - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, 60])]
+        masses = [(FocalSet(frame, m), Fraction(p, 60)) for m, p in zip(masks, parts)]
+        out.append(make_body(frame, masses))
+    return out
+
+
+def finding_hash(findings) -> str:
+    rows = [(f.subset.bits, f.prob.lower, f.prob.upper) for f in findings]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:10]
+
+
+def main() -> None:
+    from dsaudit import lp
+
+    pivot = lp._pivot
+    pivots = [0]
+
+    def counted(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    lp._pivot = counted
+    for row in TABLE:
+        for seed in (1, 2):
+            bodies = wide_bodies(seed, *row)
+            pivots[0] = 0
+            began = time.perf_counter()
+            report = audit(bodies)
+            took = time.perf_counter() - began
+            found = finding_hash(report.findings)
+            print(row, seed, found, f"{pivots[0]} pivots", f"{took:.2f} s", flush=True)
+
+
+if __name__ == "__main__":
+    main()
