@@ -211,7 +211,7 @@ def _remember(system: ProbabilityConstraintSystem, basis: lp.FeasibleStart) -> N
     mass on w plus den // basis.den times the rhs of body 0's basic
     variables owned by w.  The ints are divided by their gcd with d, so one
     distribution has one key."""
-    d = basis.rows[0][basis.basis[0]] if basis.rows else 1
+    d = basis.scale
     p = [0] * system.frame.size
     for bits, m in system.masses[0]:
         if not bits & (bits - 1):
@@ -246,7 +246,8 @@ def probability_bounds(
     high = den - max([sum([m for t, m in body if not t & bits]) for body in system.masses])
     members = [w for w in range(system.frame.size) if bits >> w & 1]
     lower = upper = None
-    for d, p in reversed(witnesses):
+    # A snapshot: another thread's solve may add a witness meanwhile.
+    for d, p in reversed(tuple(witnesses)):
         at = sum([p[w] for w in members])
         if lower is None and at == low * d:
             lower = Fraction(low, den)

@@ -84,10 +84,10 @@ class FeasibleStart:
     the variable basic in row i.  The rows are d*B^-1 [A | den*b], where
     A x = b is the caller's system with its integer matrix A, `den` is the
     least common denominator of the right-hand sides, B is the basic
-    columns of A and d = |det B|.  So the basic columns form d*I, and the
-    value of variable `basis[i]` is `Fraction(rows[i][-1], d * den)`.
-    Phase one never stores an artificial column, so the rows are exactly
-    `num_vars + 1` wide.  The basis a solve ends on has the same form over
+    columns of A and d = |det B|, read as `scale`.  So the basic columns
+    form d*I, and the value of variable `basis[i]` is
+    `Fraction(rows[i][-1], d * den)`.  Phase one never stores an
+    artificial column, so the rows are exactly `num_vars + 1` wide.  The basis a solve ends on has the same form over
     the same rows, so either one is a valid `start` for any objective over
     those constraints.
     """
@@ -98,13 +98,17 @@ class FeasibleStart:
     den: int
 
     @property
+    def scale(self) -> int:
+        """d, the entry of every basic column in its own row (1 with no rows)."""
+        return self.rows[0][self.basis[0]] if self.rows else 1
+
+    @property
     def point(self) -> tuple[Fraction, ...]:
         """The basic solution: x_B is the rhs over d*den, every other x is 0."""
         x = [Fraction(0)] * self.num_vars
-        if self.rows:
-            scale = self.rows[0][self.basis[0]] * self.den
-            for row, b in zip(self.rows, self.basis):
-                x[b] = Fraction(row[-1], scale)
+        scale = self.scale * self.den
+        for row, b in zip(self.rows, self.basis):
+            x[b] = Fraction(row[-1], scale)
         return tuple(x)
 
 
@@ -261,7 +265,7 @@ def minimize(
 
     rows = [list(row) for row in start.rows]
     basis = list(start.basis)
-    d = rows[0][basis[0]] if rows else 1
+    d = start.scale
     reduced = [d * v for v in cost] + [0]
     for row, b in zip(rows, basis):
         if cost[b]:

@@ -20,50 +20,55 @@ Fraction.  ``values`` is a read-only mapping of every subset to its
 ``Fraction``, built whole on first read and kept with the table; neither
 function builds it.
 
-The butterfly runs word-parallel.  The 2**n ints are packed as fixed-width
-fields (``struct``), read as Python ints of 2**8 fields each
-(``int.from_bytes``), so one pass of the butterfly is a few big-int
+The butterfly runs word-parallel, in one kernel for every table.  The 2**n
+ints are packed as fixed-width fields, read as Python ints of 2**8 fields
+each (``int.from_bytes``), so one pass of the butterfly is a few big-int
 operations per chunk: for element j < 8, the fields whose index lacks bit j
 are masked out, shifted up by 2**j fields and added (zeta) or subtracted
 (Mobius); for j >= 8, the whole chunks whose index has bit j - 8 gain or
-lose the chunk without it.  ``struct`` unpacks the result.  A field is the
-narrowest of 1, 2, 4 or 8 bytes that holds the sum of the masses (zeta), or
-bel(frame) plus a guard bit (Mobius), so no field ever carries into or
-borrows from its neighbour.  For zeta, every partial sum of nonnegative
-masses is at most their sum.  For Mobius, every field's top bit is set
-before each subtraction, so a field whose difference would be negative
-clears only its own top bit, and the packed kernel gives up.  The plain
-butterfly ``_subset_sums`` serves every table the packed kernels cannot hold
-exactly: a negative entry, a sum or entry too wide for 64-bit fields, or a
-cleared guard bit.  So an invalid belief table is still named by its lowest
-negative bitmask, and nothing is ever approximated.  On the combined bodies
-of the combine-mobius benchmark (8-11 elements; shared 2-vCPU machine,
-Python 3.11) one table takes about 0.055 ms and one inversion about
-0.08 ms, against 0.10 ms and 0.20 ms when bodies held Fractions.
+lose the chunk without it.  A field is the narrowest of 1, 2, 4 or 8 bytes,
+or past 64 bits the fewest whole bytes, that holds the sum of the masses
+(zeta), or bel(frame) plus a guard bit (Mobius), so no field ever carries
+into or borrows from its neighbour.  ``struct`` packs and unpacks the four
+fixed widths, and ``int.to_bytes``/``int.from_bytes`` the wider ones.  For
+zeta, every partial sum of nonnegative masses is at most their sum; a body
+built directly with a negative mass is refused, naming it.  For Mobius,
+every field's top bit is set before each subtraction, so a field whose
+difference would be negative clears only its own top bit, and the kernel
+gives up.  On a belief table that happens only where a recovered mass is
+negative.  The same kernel then inverts bel(A) + k * 2**|A|, whose masses
+are m(A) + k, with k large enough that nothing in it goes negative; taking
+k off again names the lowest negative bitmask.  So nothing is ever
+approximated.  On the combined bodies of the combine-mobius benchmark (8-11
+elements; shared 2-vCPU machine, Python 3.11) one table takes about
+0.055 ms and one inversion about 0.08 ms, against 0.10 ms and 0.20 ms when
+bodies held Fractions.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from types import MappingProxyType
 
-from .evidence import BodyOfEvidence
+from .evidence import BodyOfEvidence, EvidenceError
 from .frames import FocalSet, Frame, enumerate_subsets, require_same_frame
 
 
 _FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # The packed kernels run on chunks of at most 2**_CHUNK_SIZE fields.  Chunks
-# of 2**11 fields were no faster on 8-11 element frames, and one int for a
-# whole 16-element table was slower than the plain butterfly.
+# of 2**11 fields were no faster on 8-11 element frames.  One int for a whole
+# 16-element table beat a per-entry butterfly, but with 8-byte fields it was
+# 2.4x slower than chunks (both tables and the inversion of one body: 41.5
+# against 17 ms, and 75 ms per entry), and it keeps one table-sized mask per
+# element.
 _CHUNK_SIZE = 8
 
 
@@ -161,49 +166,31 @@ def plausibility(body: BodyOfEvidence, s: FocalSet) -> Fraction:
     return Fraction(sum([m for t, m in body.masses if t & bits]), body.den)
 
 
-def _subset_sums(sums: list[int], size: int, sign: int) -> None:
-    """In place, ``sums[S] = sum over T subset-of S of sign**|S-T| * sums[T]``.
-
-    The Kennes-Smets butterfly: one pass per element adds (sign +1, zeta) or
-    subtracts (sign -1, Mobius) the value of ``S`` without that element into
-    every ``S`` that has it, O(size * 2**size) operations in all.  The packed
-    kernels below fall back to it for tables they cannot hold.
-    """
-    op = operator.add if sign > 0 else operator.sub
-    n = 1 << size
-    half = 1
-    while half < n:
-        step = 2 * half
-        # The masks holding this element form ``half`` progressions of stride
-        # ``step`` or ``n // step`` runs of length ``half``: slice the fewer.
-        if half * half < n:
-            for j in range(half, step):
-                sums[j::step] = map(op, sums[j::step], sums[j - half :: step])
-        else:
-            for hi in range(half, n, step):
-                sums[hi : hi + half] = map(op, sums[hi : hi + half], sums[hi - half : hi])
-        half = step
-
-
-def _field_bytes(bits: int) -> int | None:
-    """Bytes of the narrowest struct field holding a ``bits``-bit unsigned int,
-    or None past 64 bits."""
+def _field_bytes(bits: int) -> int:
+    """Bytes of the narrowest field holding a ``bits``-bit unsigned int: 1,
+    2, 4 or 8, or the plain byte count past 64 bits."""
     for width in (1, 2, 4, 8):
         if bits <= 8 * width:
             return width
-    return None
+    return -(-bits // 8)
 
 
-def _field_struct(size: int, width: int, order: str = "<") -> struct.Struct:
-    return struct.Struct(f"{order}{1 << size}{_FIELD_CODES[width]}")
+def _fields(data: bytes, width: int, order: str = "little") -> tuple[int, ...]:
+    """The unsigned ``width``-byte fields of ``data``, in order."""
+    code = _FIELD_CODES.get(width)
+    if code:
+        prefix = "<" if order == "little" else ">"
+        return struct.Struct(f"{prefix}{len(data) // width}{code}").unpack(data)
+    fields = chain.from_iterable(struct.iter_unpack(f"{width}s", data))
+    return tuple(map(int.from_bytes, fields, repeat(order)))
 
 
 @functools.lru_cache(maxsize=8)
 def _pass_masks(size: int, width: int) -> tuple[int, ...]:
     """For each element j of a chunk of ``size`` elements, the packed chunk
     with every field whose index lacks bit j all ones and every other field
-    zero.  A chunk has at most _CHUNK_SIZE elements, so the cache holds at
-    most 8 * 8 * 2**8 * 8 bytes."""
+    zero.  A chunk has at most _CHUNK_SIZE elements, so one entry of the
+    cache holds at most 8 * 2**8 * ``width`` bytes."""
     n = 1 << size
     return tuple(
         int.from_bytes((b"\xff" * (width << j) + bytes(width << j)) * (n >> (j + 1)), "little")
@@ -221,8 +208,7 @@ def _chunks(data: bytes, size: int, width: int) -> list[int]:
 def _unpack(chunks: list[int], size: int, width: int) -> tuple[int, ...]:
     """The field values of packed chunks, in index order."""
     step = width << min(size, _CHUNK_SIZE)
-    data = b"".join(chunk.to_bytes(step, "little") for chunk in chunks)
-    return _field_struct(size, width).unpack(data)
+    return _fields(b"".join(chunk.to_bytes(step, "little") for chunk in chunks), width)
 
 
 def _guarded_difference(a: int, b: int, guard: int) -> int | None:
@@ -233,20 +219,20 @@ def _guarded_difference(a: int, b: int, guard: int) -> int | None:
     return difference ^ guard if difference & guard == guard else None
 
 
-def _packed_zeta(scaled: tuple[tuple[int, int], ...], size: int) -> tuple[list[int], int] | None:
+def _packed_zeta(scaled: tuple[tuple[int, int], ...], size: int) -> tuple[list[int], int]:
     """The belief table of the ``(bitmask, int)`` masses ``scaled`` as packed
-    chunks, with its field width in bytes; None if a mass is negative or
-    their sum needs more than 64 bits."""
+    chunks, with its field width in bytes.  A negative mass raises
+    struct.error or OverflowError."""
     width = _field_bytes(sum(m for _, m in scaled).bit_length())
-    if width is None:
-        return None
-    field = "<" + _FIELD_CODES[width]
+    code = _FIELD_CODES.get(width)
     buf = bytearray(width << size)
-    try:
+    if code:
+        field = "<" + code
         for bits, m in scaled:
             struct.pack_into(field, buf, bits * width, m)
-    except struct.error:
-        return None
+    else:
+        for bits, m in scaled:
+            buf[bits * width : (bits + 1) * width] = m.to_bytes(width, "little")
     # Every partial sum of nonnegative masses is at most their sum, so no
     # field carries into its neighbour, within a chunk or between chunks.
     low = min(size, _CHUNK_SIZE)
@@ -269,11 +255,13 @@ def _packed_mobius(ints: tuple[int, ...], size: int, top: int) -> tuple[int, ...
     ``top``; None if an entry is negative, needs more bits than the field
     for ``top`` plus a guard bit, or a partial difference goes negative."""
     width = _field_bytes(top.bit_length() + 1)
-    if width is None:
-        return None
+    code = _FIELD_CODES.get(width)
     try:
-        data = _field_struct(size, width).pack(*ints)
-    except struct.error:
+        if code:
+            data = struct.Struct(f"<{len(ints)}{code}").pack(*ints)
+        else:
+            data = b"".join(map(int.to_bytes, ints, repeat(width), repeat("little")))
+    except (struct.error, OverflowError):
         return None
     low = min(size, _CHUNK_SIZE)
     masks = _pass_masks(low, width)
@@ -298,23 +286,21 @@ def _packed_mobius(ints: tuple[int, ...], size: int, top: int) -> tuple[int, ...
 
 
 def measure_table(body: BodyOfEvidence, kind: MeasureKind) -> MeasureTable:
-    """Evaluate belief or plausibility on all 2**size subsets."""
-    den, scaled = body.den, body.masses
-    size = body.frame.size
-    packed = _packed_zeta(scaled, size)
-    if packed is None:
-        sums = [0] * (1 << size)
-        for bits, m in scaled:
-            sums[bits] = m
-        _subset_sums(sums, size, 1)
-        if kind is MeasureKind.PLAUSIBILITY:
-            # pl(S) = bel(frame) - bel(not S); listing bel backwards lists bel(not S).
-            total = sums[-1]
-            sums = [total - b for b in reversed(sums)]
-        return MeasureTable(body.frame, kind, den, tuple(sums))
-    chunks, width = packed
+    """Evaluate belief or plausibility on all 2**size subsets.
+
+    Raises EvidenceError, naming the focal set, for a body built directly
+    with a negative mass (``make_body`` refuses one)."""
+    frame, den, size = body.frame, body.den, body.frame.size
+    try:
+        chunks, width = _packed_zeta(body.masses, size)
+    except (struct.error, OverflowError):
+        for bits, m in body.masses:
+            if m < 0:
+                s = FocalSet(frame, bits)
+                raise EvidenceError(f"negative mass {Fraction(m, den)} on {s}") from None
+        raise
     if kind is MeasureKind.BELIEF:
-        return MeasureTable(body.frame, kind, den, _unpack(chunks, size, width))
+        return MeasureTable(frame, kind, den, _unpack(chunks, size, width))
     # bel(frame) - bel(S) in every field S is at least 0.  Read big-endian,
     # the chunks and their fields come last to first, so index S reads the
     # field of not S: bel(frame) - bel(not S) = pl(S).
@@ -322,7 +308,7 @@ def measure_table(body: BodyOfEvidence, kind: MeasureKind) -> MeasureTable:
     total = chunks[-1] >> (8 * (step - width))
     everywhere = int.from_bytes(total.to_bytes(width, "little") * (step // width), "little")
     data = b"".join((everywhere - chunk).to_bytes(step, "big") for chunk in reversed(chunks))
-    return MeasureTable(body.frame, kind, den, _field_struct(size, width, ">").unpack(data))
+    return MeasureTable(frame, kind, den, _fields(data, width, "big"))
 
 
 def mass_from_belief(table: MeasureTable) -> BodyOfEvidence:
@@ -354,21 +340,24 @@ def mass_from_belief(table: MeasureTable) -> BodyOfEvidence:
             f"belief of the whole frame must be 1, got {Fraction(ints[-1], den)}",
             subset=frame.universe(),
         )
-    # bel(frame) = den is the largest entry of a belief table.  The packed
-    # kernel returns only nonnegative masses; every other table, valid or
-    # not, takes the butterfly.
-    sums = _packed_mobius(ints, frame.size, den)
+    # bel(frame) = den is the largest entry of a belief table, and every
+    # partial difference of one is a sum of masses, so the kernel fails only
+    # where some recovered mass is negative.
+    size = frame.size
+    sums = _packed_mobius(ints, size, den)
     if sums is None:
-        sums = list(ints)
-        _subset_sums(sums, frame.size, -1)
-        if min(sums) < 0:
-            bits = next(bits for bits, m in enumerate(sums) if m < 0)
-            s = FocalSet(frame, bits)
-            raise InversionError(
-                f"recovered mass of {s} is negative ({Fraction(sums[bits], den)}); "
-                "not a belief function",
-                subset=s,
-            )
+        # bel(A) + k * 2**|A| has the masses m(A) + k.  With k = 2**size
+        # times the largest |entry|, they and every partial difference are
+        # nonnegative and below 2k << size, so the kernel cannot fail on it.
+        k = max(map(abs, ints)) << size
+        shifted = tuple([b + (k << bits.bit_count()) for bits, b in enumerate(ints)])
+        shifted_masses = _packed_mobius(shifted, size, 2 * k << size)
+        bits, m = next((bits, m - k) for bits, m in enumerate(shifted_masses) if m < k)
+        s = FocalSet(frame, bits)
+        raise InversionError(
+            f"recovered mass of {s} is negative ({Fraction(m, den)}); not a belief function",
+            subset=s,
+        )
     # The masses sum to bel(frame) = den, so their gcd divides it; it exceeds
     # 1 only for a table built directly over a denominator that is not least.
     g = math.gcd(*compress(sums, sums))

@@ -12,6 +12,11 @@ Every warning is an error.  It checks:
   of tests/data/paper_repro.txt that `dsaudit paper-repro` prints for it;
 - `sweep(Family.PARTITION_XY, 12)`: its CSV hashes to the SHA-256 pinned in
   tests/data/sweep_digests.json;
+- `measure_table` (belief and plausibility) and `mass_from_belief` on a
+  9-element body, which spans two packed chunks, and on one whose
+  denominator passes 2**64, which needs fields wider than `struct` packs:
+  each body's `(den, ints)` of both tables hashes to the SHA-256 pinned
+  below, and the belief table inverts to the body;
 - none of that imported `click`, the CLI's one dependency.
 
 It prints one line per check and exits 0 only if all of them pass.
@@ -31,7 +36,18 @@ warnings.simplefilter("error")
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dsaudit import Family, Verdict, sweep, sweep_to_csv  # noqa: E402
+from dsaudit import (  # noqa: E402
+    Family,
+    MeasureKind,
+    Verdict,
+    make_body,
+    make_frame,
+    mass_from_belief,
+    measure_table,
+    subset,
+    sweep,
+    sweep_to_csv,
+)
 from dsaudit.repro import run_reproduction  # noqa: E402
 
 
@@ -60,11 +76,53 @@ def partition_sweep() -> None:
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin
 
 
+# SHA-256 of repr([(den, ints) of the belief table, (den, ints) of the
+# plausibility table]) for each body of `_measure_bodies`.
+MEASURE_PINS = {
+    "nine elements": "cd64c39da239cc3c9461037d4e7147936dad8a6b0da0bea0cc856f9673d8801a",
+    "den past 2**64": "df967e2060826a9a3660c0d657f6ff53b292c11017b4bf3e83e04a582f809076",
+}
+
+
+def _measure_bodies() -> dict[str, object]:
+    nine = make_frame([f"e{i}" for i in range(9)])
+    ten = make_frame([f"e{i}" for i in range(10)])
+    a, b = Fraction(1, 3**41), Fraction(1, 7**23)
+    return {
+        "nine elements": make_body(
+            nine,
+            [
+                (subset(nine, [f"e{i}" for i in range(8)]), "1/3"),
+                (subset(nine, ["e4", "e5", "e6", "e7", "e8"]), "1/4"),
+                (subset(nine, ["e0", "e8"]), "1/6"),
+                (subset(nine, [f"e{i}" for i in range(9)]), "1/4"),
+            ],
+        ),
+        "den past 2**64": make_body(
+            ten,
+            [
+                (subset(ten, ["e0", "e1"]), a),
+                (subset(ten, ["e5", "e7", "e9"]), b),
+                (subset(ten, [f"e{i}" for i in range(10)]), 1 - a - b),
+            ],
+        ),
+    }
+
+
+def measure_tables() -> None:
+    for name, body in _measure_bodies().items():
+        bel = measure_table(body, MeasureKind.BELIEF)
+        pl = measure_table(body, MeasureKind.PLAUSIBILITY)
+        assert mass_from_belief(bel) == body, name
+        fields = repr([(t.den, t.ints) for t in (bel, pl)])
+        assert hashlib.sha256(fields.encode("utf-8")).hexdigest() == MEASURE_PINS[name], name
+
+
 def no_click() -> None:
     assert "click" not in sys.modules
 
 
-CHECKS = (library_snippet, reproduction, partition_sweep, no_click)
+CHECKS = (library_snippet, reproduction, partition_sweep, measure_tables, no_click)
 
 
 def main() -> int:

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import replace
@@ -35,6 +37,7 @@ from lp_oracle import element_bounds_by_vertex_enumeration, two_sided_system
 import constraints_reference
 import slack_form
 from strategies import bodies, exact_masses, frames
+from wide_systems import wide_bodies
 
 F = Fraction
 
@@ -682,3 +685,35 @@ def test_a_feasible_audit_builds_the_constraints_once(monkeypatch, partition_bod
         "B:marginal:b",
     ]
     assert builds == [report.system]
+
+
+def test_threads_bound_one_shared_system_as_one_thread_does():
+    # Each solve adds a witness to the shared system while the other threads
+    # scan the witnesses; a switch interval of a microsecond makes them
+    # interleave inside the scan.
+    bodies_ = wide_bodies(1, 2, 8, 6)
+    shared = build_constraints(bodies_)
+    targets = [FocalSet(shared.frame, bits) for bits in range(1, 1 << shared.frame.size)]
+    bounds, errors = {}, []
+
+    def bound(offset):
+        try:
+            for s in targets[offset::4]:
+                bounds[s] = probability_bounds(shared, s)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=bound, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    fresh = build_constraints(bodies_)
+    assert bounds == {s: probability_bounds(fresh, s) for s in targets}

@@ -2,8 +2,10 @@
 
 import copy
 import math
+import operator
 import pickle
 import random
+import struct
 from fractions import Fraction
 from functools import cached_property
 
@@ -12,6 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dsaudit import (
+    EvidenceError,
     InversionError,
     MeasureKind,
     belief,
@@ -24,16 +27,10 @@ from dsaudit import (
     subset,
     vacuous,
 )
-from dsaudit import measures
 from dsaudit.combine import CombinationResult
+from dsaudit.evidence import BodyOfEvidence
 from dsaudit.frames import FocalSet, enumerate_subsets
-from dsaudit.measures import (
-    MeasureTable,
-    _packed_mobius,
-    _packed_zeta,
-    _subset_sums,
-    _unpack,
-)
+from dsaudit.measures import MeasureTable, _packed_mobius, _packed_zeta, _unpack
 from strategies import bodies, partition_bodies
 
 
@@ -183,6 +180,22 @@ def test_mass_recovery_names_lowest_negative_subset(abc):
         mass_from_belief(broken)
     assert str(exc_info.value) == (
         "recovered mass of {a,b} is negative (-1/4); not a belief function"
+    )
+    assert exc_info.value.subset == subset(abc, ["a", "b"])
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(3**45 - 1, 3**45)], ids=["1-byte", "wide"])
+def test_a_mass_below_minus_every_entry_is_named(abc, q):
+    # bel is q on each singleton and 0 on each pair, so m({a,b}) = -2q lies
+    # below minus the largest entry, 1: the shift that names it must exceed
+    # every |entry|, at 1-byte fields and at fields past 64 bits alike.
+    values = {s: q if s.bits.bit_count() == 1 else Fraction(0) for s in enumerate_subsets(abc)}
+    values[abc.universe()] = Fraction(1)
+    table = MeasureTable.from_values(abc, MeasureKind.BELIEF, values)
+    with pytest.raises(InversionError) as exc_info:
+        mass_from_belief(table)
+    assert str(exc_info.value) == (
+        f"recovered mass of {{a,b}} is negative ({-2 * q}); not a belief function"
     )
     assert exc_info.value.subset == subset(abc, ["a", "b"])
 
@@ -373,15 +386,49 @@ def test_partition_focal_elements_pin_the_measures(body):
         assert belief(body, s) == m == plausibility(body, s)
 
 
-# Bit lengths of the largest drawn entry: each packed field width (1, 2, 4
-# and 8 bytes) occurs, and so do sums and entries past 63 and 64 bits.
-_ENTRY_BITS = (3, 7, 12, 15, 24, 31, 48, 62, 63, 64, 80)
+# Bit lengths of the largest drawn entry: each field width (1, 2, 4, 8 and
+# 9 or more bytes) occurs, and so do entries on both sides of each width's
+# guard bit.
+_ENTRY_BITS = (3, 7, 12, 15, 24, 31, 48, 62, 63, 64, 70, 72, 80, 100, 130)
+
+
+def _subset_sums(sums, size, sign):
+    """In place, ``sums[S] = sum over T subset-of S of sign**|S-T| * sums[T]``.
+
+    The Kennes-Smets butterfly, one entry at a time: one pass per element
+    adds (sign +1, zeta) or subtracts (sign -1, Mobius) the value of ``S``
+    without that element into every ``S`` that has it, O(size * 2**size)
+    operations in all.  The oracle for the packed kernels.
+    """
+    op = operator.add if sign > 0 else operator.sub
+    n = 1 << size
+    half = 1
+    while half < n:
+        step = 2 * half
+        # The masks holding this element form ``half`` progressions of stride
+        # ``step`` or ``n // step`` runs of length ``half``: slice the fewer.
+        if half * half < n:
+            for j in range(half, step):
+                sums[j::step] = map(op, sums[j::step], sums[j - half :: step])
+        else:
+            for hi in range(half, n, step):
+                sums[hi : hi + half] = map(op, sums[hi : hi + half], sums[hi - half : hi])
+        half = step
 
 
 def _butterfly(table, size, sign):
     sums = list(table)
     _subset_sums(sums, size, sign)
     return sums
+
+
+def _width(bits):
+    """The field width, in bytes, that the kernels take for ``bits`` bits."""
+    return next((w for w in (1, 2, 4, 8) if bits <= 8 * w), -(-bits // 8))
+
+
+def _width_label(width):
+    return f"{width}-byte" if width <= 8 else "9+-byte"
 
 
 @settings(max_examples=300, deadline=None)
@@ -401,16 +448,16 @@ def test_packed_kernels_match_the_butterfly(data):
         masses[bits] = m
 
     zeta = _butterfly(masses, size, 1)
-    packed = _packed_zeta(tuple(entries.items()), size)
     total = sum(entries.values())
-    if min(entries.values(), default=0) < 0 or total.bit_length() > 64:
-        assert packed is None
-        event("zeta: butterfly")
+    if min(entries.values(), default=0) < 0:
+        with pytest.raises((struct.error, OverflowError)):
+            _packed_zeta(tuple(entries.items()), size)
+        event("zeta: negative mass")
     else:
-        chunks, width = packed
-        assert width == next(w for w in (1, 2, 4, 8) if total.bit_length() <= 8 * w)
+        chunks, width = _packed_zeta(tuple(entries.items()), size)
+        assert width == _width(total.bit_length())
         assert list(_unpack(chunks, size, width)) == zeta
-        event(f"zeta: {width}-byte fields")
+        event(f"zeta: {_width_label(width)} fields")
 
     # A belief table when the masses are nonnegative, perturbed at one entry
     # or not.  The field width comes from the entry the caller expects to be
@@ -428,40 +475,34 @@ def test_packed_kernels_match_the_butterfly(data):
     else:
         expected_top = data.draw(st.integers(0, 2 * top))
     mobius = _butterfly(table, size, -1)
-    guard_bits = expected_top.bit_length() + 1
-    width = next((w for w in (1, 2, 4, 8) if guard_bits <= 8 * w), None)
-    holds = width is not None and all(0 <= v < 1 << (8 * width - 1) for v in table)
+    width = _width(expected_top.bit_length() + 1)
+    holds = all(0 <= v < 1 << (8 * width - 1) for v in table)
     recovered = _packed_mobius(tuple(table), size, expected_top)
     if holds and min(mobius) >= 0:
         assert recovered == tuple(mobius)
-        event(f"mobius: {width}-byte fields")
+        event(f"mobius: {_width_label(width)} fields")
     else:
         assert recovered is None
-        event("mobius: butterfly")
+        event("mobius: refused " + ("a negative mass" if holds else "an entry"))
 
 
 @pytest.mark.parametrize(
-    "bits, width", [(8, 1), (16, 2), (32, 4), (64, 8), (65, None)]
+    "bits, width",
+    [(8, 1), (16, 2), (32, 4), (63, 8), (64, 8), (65, 9), (72, 9), (73, 10), (110, 14)],
 )
 def test_each_field_width_serves_a_table_whose_sum_fits_it(bits, width):
     total = (1 << bits) - 1
     scaled = ((3, total // 3), (31, total - total // 3))
-    packed = _packed_zeta(scaled, 5)
-    if width is None:
-        assert packed is None
-        return
-    chunks, got = packed
+    chunks, got = _packed_zeta(scaled, 5)
     assert got == width
     masses = [0] * 32
     for mask, m in scaled:
         masses[mask] = m
     zeta = _butterfly(masses, 5, 1)
     assert list(_unpack(chunks, 5, width)) == zeta
-    # The guard bit makes the inversion of the same table one width wider,
-    # except at 8 bytes, where a 64-bit bel(frame) leaves no room for it.
-    assert _packed_mobius(tuple(zeta), 5, total) == (
-        tuple(masses) if bits < 64 else None
-    )
+    # The guard bit makes the inversion of the same table one width wider
+    # where bel(frame) fills its field.
+    assert _packed_mobius(tuple(zeta), 5, total) == tuple(masses)
 
 
 @pytest.mark.parametrize(
@@ -476,10 +517,27 @@ def test_each_field_width_serves_a_table_whose_sum_fits_it(bits, width):
 def test_packed_inversion_takes_only_entries_under_the_guard_bit(entry, why):
     # bel(frame) = 100 needs 7 bits, so the fields are 1 byte with a guard bit.
     table = (0, entry, 0, 100)
-    expected = list(table)
-    _subset_sums(expected, 2, -1)
-    recovered = _packed_mobius(table, 2, 100)
-    assert recovered == (tuple(expected) if entry == 99 else None), why
+    expected = tuple(_butterfly(table, 2, -1)) if entry == 99 else None
+    assert _packed_mobius(table, 2, 100) == expected, why
+
+
+@pytest.mark.parametrize(
+    "entry, why",
+    [
+        ((1 << 70) - 1, "fits under the guard bit"),
+        ((1 << 71) + 5, "sets the guard bit of a 9-byte field"),
+        (1 << 72, "needs a wider field than bel(frame) does"),
+        (-1, "is negative"),
+    ],
+    ids=["fits", "guard", "wider", "negative"],
+)
+def test_a_wide_inversion_takes_only_entries_under_the_guard_bit(entry, why):
+    # bel(frame) = 2**70 needs 71 bits, so the fields are 9 bytes, the
+    # plain byte count, and the guard is bit 71.
+    top = 1 << 70
+    table = (0, entry, 0, top)
+    expected = tuple(_butterfly(table, 2, -1)) if 0 <= entry < top else None
+    assert _packed_mobius(table, 2, top) == expected, why
 
 
 def test_a_mass_that_goes_negative_between_packed_chunks_is_named():
@@ -592,21 +650,17 @@ def test_tables_with_negative_entries_name_the_lowest_negative_mass(body, data):
         assert recovered.focal == tuple((s, m) for s, m in reference.items() if m > 0)
 
 
-def test_packed_path_alone_serves_a_small_denominator_table(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the plain butterfly ran")
-
-    monkeypatch.setattr(measures, "_subset_sums", refuse)
-    frame = make_frame([f"e{i}" for i in range(10)])
-    masses = [(5, "1/6"), (700, "1/4"), (1023, "7/12")]
-    body = make_body(frame, [(FocalSet(frame, bits), m) for bits, m in masses])
-    bel = measure_table(body, MeasureKind.BELIEF)
-    pl = measure_table(body, MeasureKind.PLAUSIBILITY)
-    assert mass_from_belief(bel) == body
-    for bits in (0, 5, 7, 700, 701, 1022, 1023):
-        s = FocalSet(frame, bits)
-        assert bel.values[s] == belief(body, s)
-        assert pl.values[s] == plausibility(body, s)
+@pytest.mark.parametrize("kind", list(MeasureKind))
+@pytest.mark.parametrize("den", [4, 255, 1 << 64, (1 << 70) + 3])
+def test_a_hand_built_body_with_a_negative_mass_gets_no_table(kind, den):
+    # make_body refuses a negative mass; a body built directly is refused by
+    # measure_table, naming its lowest negative focal set, at every field
+    # width, and even where a positive mass outgrows the field of the sum.
+    frame = make_frame(["a", "b", "c"])
+    body = BodyOfEvidence(frame, den, ((1, -1), (2, -2), (4, den + 3)))
+    with pytest.raises(EvidenceError) as exc_info:
+        measure_table(body, kind)
+    assert str(exc_info.value) == f"negative mass {Fraction(-1, den)} on {{a}}"
 
 
 def test_combination_tables_and_inversion_build_no_view(monkeypatch):
