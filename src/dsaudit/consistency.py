@@ -21,22 +21,24 @@ infeasible system never builds them.  The tight interval per target is
 then compared with the [belief, plausibility] interval of the
 Dempster-combined body.
 
-P sums to 1 at every feasible point, so min P(S) = 1 - max P(complement)
-and max P(S) = 1 - min P(complement).  An audit takes its targets in
-ascending bitmask order, and a target whose complement came earlier gets
-[1 - upper, 1 - lower] of that target's interval.  A feasible audit knows
-the empty set's [0, 0] from the start, so the whole frame, its complement,
-gets [1, 1] with no LP.  So a feasible audit asks for at most two LPs per
-remaining target, and an infeasible one none.
+Every bound is asked of `probability_bounds`, which alone decides whether
+a side needs an LP; its rules hold for a direct call as for an audit.  The
+system keeps each answer by bitmask.  P sums to 1 at every feasible point,
+so min P(S) = 1 - max P(complement) and max P(S) = 1 - min P(complement):
+each answer also keeps its complement's interval, [1 - upper, 1 - lower].
+A target already kept costs no witness scan and no LP.
 
-Many of those LPs are settled without a solve.  Every feasible P has
-max_k bel_k(S) <= P(S) <= min_k pl_k(S) (Dempster 1967), so when a
-feasible point already in hand attains one of these per-body bounds, that
-bound is the optimum.  The system keeps such points as witnesses: phase
-one's start, seeded on the first bound asked for, and the optimum of every
-solve since.  Each is one int per element over den*d, and each per-body
-bound is an int sum over den, so the witness check compares ints.  Only a
-side that no witness settles is solved.
+Every other side is settled without a solve when it can be.  Every
+feasible P has max_k bel_k(S) <= P(S) <= min_k pl_k(S) (Dempster 1967),
+so when a feasible point already in hand attains one of these per-body
+bounds, that bound is the optimum.  The system keeps such points as
+witnesses: phase one's start, seeded on the first bound asked for, and
+the optimum of every solve since.  Each is one int per element over
+den*d, and each per-body bound is an int sum over den, so the witness
+check compares ints.  Both of the frame's per-body bounds are den, so any
+witness settles the frame at [1, 1].  Only a side that no witness settles
+is solved, by one LP from the system's start, so a feasible system asks
+for at most two LPs per target and an infeasible one none.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ from .evidence import BodyOfEvidence, StructureTag, classify
 from .frames import FocalSet, Frame, require_same_frame
 from .measures import belief, plausibility
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class ProbabilityConstraintSystem:
@@ -65,16 +65,18 @@ class ProbabilityConstraintSystem:
     `rows` holds the LP rows over the allocation variables as ints
     [A | den*b], `names` the bodies' names, `owners` the (body index,
     element index) of each variable, and `fixed` body 0's singleton masses
-    per element: P(w) is fixed[w] plus body 0's variables owned by w.
-    `masses` holds each body's (bitmask, int) masses over den.  `start` is
-    the simplex phase one of the rows: None when no distribution satisfies
-    every body.  `constraints`, the rows as tagged `lp.LinearConstraint`s,
-    is built on first read and kept.
+    per element as ints over den: P(w) is fixed[w] / den plus body 0's
+    variables owned by w.  `masses` holds each body's (bitmask, int) masses
+    over den.  `start` is the simplex phase one of the rows: None when no
+    distribution satisfies every body.  `constraints`, the rows as tagged
+    `lp.LinearConstraint`s, is built on first read and kept.
 
-    `witnesses` is the memo that `probability_bounds` fills: distinct
-    feasible distributions, oldest first, each as (d, p) with P(w) =
-    p[w] / (den*d).  It starts empty, so a copy made by
-    `dataclasses.replace` starts afresh.
+    `solved` and `witnesses` are the memos that `probability_bounds` fills
+    (see the module docstring).  `solved` maps a bitmask to its exact
+    (lower, upper), for each target asked for and its complement.
+    `witnesses` holds distinct feasible distributions, oldest first, each
+    as (d, p) with P(w) = p[w] / (den*d).  Both start empty, so a copy made
+    by `dataclasses.replace` starts afresh.
     """
 
     frame: Frame
@@ -82,9 +84,12 @@ class ProbabilityConstraintSystem:
     den: int = field(repr=False)
     names: tuple[str, ...]
     owners: tuple[tuple[int, int], ...] = field(repr=False)
-    fixed: tuple[Fraction, ...] = field(repr=False)
+    fixed: tuple[int, ...] = field(repr=False)
     masses: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
     start: lp.FeasibleStart | None = field(compare=False, repr=False)
+    solved: dict[int, tuple[Fraction, Fraction]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
     witnesses: dict[tuple[int, tuple[int, ...]], None] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -197,9 +202,8 @@ def build_constraints(
             row = [1 if o == plus else -1 if o == minus else 0 for o in owners]
             rows.append((*row, fixed[0][w] - fixed[k][w]))
     start = lp.phase_one(rows, den, len(owners))
-    fixed0 = tuple(Fraction(m, den) for m in fixed[0])
     return ProbabilityConstraintSystem(
-        frame, tuple(rows), den, tuple(names), tuple(owners), fixed0, masses, start
+        frame, tuple(rows), den, tuple(names), tuple(owners), tuple(fixed[0]), masses, start
     )
 
 
@@ -212,10 +216,7 @@ def _remember(system: ProbabilityConstraintSystem, basis: lp.FeasibleStart) -> N
     variables owned by w.  The ints are divided by their gcd with d, so one
     distribution has one key."""
     d = basis.scale
-    p = [0] * system.frame.size
-    for bits, m in system.masses[0]:
-        if not bits & (bits - 1):
-            p[bits.bit_length() - 1] = d * m
+    p = [d * m for m in system.fixed]
     ratio, owners = system.den // basis.den, system.owners
     for row, b in zip(basis.rows, basis.basis):
         k, w = owners[b]
@@ -230,16 +231,23 @@ def probability_bounds(
 ) -> ProbabilityInterval:
     """Exact min and max of P(target) over the feasible polytope.
 
-    The min is at least max_k bel_k(target) and the max at most min_k
-    pl_k(target) (Dempster 1967).  A side whose per-body bound one of the
-    system's witnesses attains is that bound, with no LP; the witnesses are
-    checked newest first.  Each remaining side is one LP from the system's
-    start, and the point it ends on becomes a witness.
+    The one place that decides whether a side needs an LP, by the rules of
+    the module docstring, in this order: a target kept in the system's
+    `solved`, as asked for before or as the complement of one that was,
+    returns its interval.  Otherwise the min is at least max_k
+    bel_k(target) and the max at most min_k pl_k(target) (Dempster 1967);
+    a side whose per-body bound one of the system's witnesses attains is
+    that bound, with no LP, the witnesses checked newest first.  Each
+    remaining side is one LP from the system's start, and the point it
+    ends on becomes a witness.  The interval and its complement's are then
+    kept.
     """
     require_same_frame(system.frame, target.frame)
     if not system.feasible:
         return ProbabilityInterval(target, None, None)
-    witnesses, den, bits = system.witnesses, system.den, target.bits
+    solved, witnesses, den, bits = system.solved, system.witnesses, system.den, target.bits
+    if bits in solved:
+        return ProbabilityInterval(target, *solved[bits])
     if not witnesses:
         _remember(system, system.start)
     low = max([sum([m for t, m in body if not t & ~bits]) for body in system.masses])
@@ -254,18 +262,21 @@ def probability_bounds(
         if upper is None and at == high * d:
             upper = Fraction(high, den)
         if lower is not None and upper is not None:
-            return ProbabilityInterval(target, lower, upper)
-    objective = [1 if k == 0 and bits >> w & 1 else 0 for k, w in system.owners]
-    base = sum([system.fixed[w] for w in members], _ZERO)
-    n = len(objective)
-    if lower is None:
-        low_sol = lp.minimize(objective, system.constraints, n, start=system.start)
-        _remember(system, low_sol.basis)
-        lower = base + low_sol.value
-    if upper is None:
-        high_sol = lp.maximize(objective, system.constraints, n, start=system.start)
-        _remember(system, high_sol.basis)
-        upper = base + high_sol.value
+            break
+    if lower is None or upper is None:
+        objective = [1 if k == 0 and bits >> w & 1 else 0 for k, w in system.owners]
+        base = Fraction(sum([system.fixed[w] for w in members]), den)
+        n = len(objective)
+        if lower is None:
+            low_sol = lp.minimize(objective, system.constraints, n, start=system.start)
+            _remember(system, low_sol.basis)
+            lower = base + low_sol.value
+        if upper is None:
+            high_sol = lp.maximize(objective, system.constraints, n, start=system.start)
+            _remember(system, high_sol.basis)
+            upper = base + high_sol.value
+    solved[bits] = lower, upper
+    solved[((1 << system.frame.size) - 1) ^ bits] = 1 - upper, 1 - lower
     return ProbabilityInterval(target, lower, upper)
 
 
@@ -300,9 +311,10 @@ def audit(
     """Combine the bodies, then compare DS intervals with probability bounds.
 
     DS intervals [belief, plausibility] come from the combined body, for every
-    singleton and every combined focal element; probability bounds come from
-    the constraint system of the ORIGINAL bodies, read off the complement's
-    interval where it was solved already (see the module docstring).  Raises
+    singleton and every combined focal element, in ascending bitmask order;
+    probability bounds come from `probability_bounds` on the constraint
+    system of the ORIGINAL bodies, so its shortcuts (the frame, complements,
+    witnesses) serve the audit as they serve any caller.  Raises
     TotalConflictError if combination is impossible.
     """
     if len(bodies) < 2:
@@ -315,19 +327,12 @@ def audit(
 
     targets = {1 << i for i in range(frame.size)}
     targets.update(bits for bits, _ in combined.masses)
-    full = (1 << frame.size) - 1
-    solved = {0: ProbabilityInterval(frame.empty(), _ZERO, _ZERO)} if system.feasible else {}
     findings: list[ElementFinding] = []
     for bits in sorted(targets):
         subset = FocalSet(frame, bits)
         ds_lower = belief(combined, subset)
         ds_upper = plausibility(combined, subset)
-        paired = solved.get(full ^ bits)
-        if paired is not None and paired.feasible:
-            assert paired.lower is not None and paired.upper is not None
-            prob = ProbabilityInterval(subset, 1 - paired.upper, 1 - paired.lower)
-        else:
-            prob = solved[bits] = probability_bounds(system, subset)
+        prob = probability_bounds(system, subset)
         findings.append(
             ElementFinding(
                 ds_lower, ds_upper, prob, _verdict(ds_lower, ds_upper, prob, combined_tag)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
 
-from .frames import FocalSet, Frame, require_same_frame
+from .frames import FocalSet, Frame, require_bits, require_same_frame
 
 MassLike = Union[Fraction, int, str]
 
@@ -143,11 +143,18 @@ class BodyOfEvidence:
     ``masses`` holds one ``(bitmask, int)`` pair per focal set, the int being
     the mass over ``den``.  ``make_body`` validates; the other constructors
     (``combine``, ``mass_from_belief``) build valid bodies by construction.
+    Any body checks that its last, and so largest, bitmask lies in its
+    frame (FrameError), so a directly built body cannot index past its
+    tables; it makes no `FocalSet` to do so.
     """
 
     frame: Frame
     den: int
     masses: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.masses:
+            require_bits(self.frame, self.masses[-1][0])
 
     @cached_property
     def focal(self) -> tuple[tuple[FocalSet, Fraction], ...]:

@@ -94,10 +94,7 @@ class FocalSet:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.frame.size):
-            raise FrameError(
-                f"bitmask {self.bits:#x} out of range for frame of size {self.frame.size}"
-            )
+        require_bits(self.frame, self.bits)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(
@@ -137,6 +134,12 @@ def require_same_frame(first: Frame, second: Frame) -> None:
         raise FrameMismatchError(
             f"different frames: {list(first.elements)} vs {list(second.elements)}"
         )
+
+
+def require_bits(frame: Frame, bits: int) -> None:
+    """Raise FrameError unless ``bits`` is the bitmask of a subset of ``frame``."""
+    if not 0 <= bits < (1 << frame.size):
+        raise FrameError(f"bitmask {bits:#x} out of range for frame of size {frame.size}")
 
 
 def enumerate_subsets(frame: Frame) -> Iterator[FocalSet]:

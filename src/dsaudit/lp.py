@@ -87,9 +87,9 @@ class FeasibleStart:
     columns of A and d = |det B|, read as `scale`.  So the basic columns
     form d*I, and the value of variable `basis[i]` is
     `Fraction(rows[i][-1], d * den)`.  Phase one never stores an
-    artificial column, so the rows are exactly `num_vars + 1` wide.  The basis a solve ends on has the same form over
-    the same rows, so either one is a valid `start` for any objective over
-    those constraints.
+    artificial column, so the rows are exactly `num_vars + 1` wide.  The
+    basis a solve ends on has the same form over the same rows, so either
+    one is a valid `start` for any objective over those constraints.
     """
 
     num_vars: int

@@ -17,6 +17,9 @@ Every warning is an error.  It checks:
   denominator passes 2**64, which needs fields wider than `struct` packs:
   each body's `(den, ints)` of both tables hashes to the SHA-256 pinned
   below, and the belief table inverts to the body;
+- `probability_bounds` called directly on the README's evidence file:
+  {b}, then {a,c}, then the frame are [1/4, 1/4], [3/4, 3/4] and [1, 1],
+  and the last two, a complement and the frame, cost no `lp.minimize` call;
 - none of that imported `click`, the CLI's one dependency.
 
 It prints one line per check and exits 0 only if all of them pass.
@@ -40,14 +43,18 @@ from dsaudit import (  # noqa: E402
     Family,
     MeasureKind,
     Verdict,
+    build_constraints,
     make_body,
     make_frame,
     mass_from_belief,
     measure_table,
+    parse_document,
+    probability_bounds,
     subset,
     sweep,
     sweep_to_csv,
 )
+from dsaudit import lp  # noqa: E402
 from dsaudit.repro import run_reproduction  # noqa: E402
 
 
@@ -118,11 +125,37 @@ def measure_tables() -> None:
         assert hashlib.sha256(fields.encode("utf-8")).hexdigest() == MEASURE_PINS[name], name
 
 
+def direct_bounds() -> None:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.compile(r"^```json\n(.*?)^```$", re.MULTILINE | re.DOTALL)
+    doc = parse_document(block.search(readme, readme.index("## Evidence files")).group(1))
+    system = build_constraints(list(doc.bodies.values()))
+    minimize, solves = lp.minimize, []
+
+    def counted(*args, **kwargs):
+        solves[-1] += 1
+        return minimize(*args, **kwargs)
+
+    lp.minimize = counted
+    try:
+        for labels, lower, upper in (
+            (["b"], "1/4", "1/4"),
+            (["a", "c"], "3/4", "3/4"),
+            (["a", "b", "c"], "1", "1"),
+        ):
+            solves.append(0)
+            interval = probability_bounds(system, subset(system.frame, labels))
+            assert (interval.lower, interval.upper) == (Fraction(lower), Fraction(upper)), labels
+    finally:
+        lp.minimize = minimize
+    assert solves[1:] == [0, 0], solves
+
+
 def no_click() -> None:
     assert "click" not in sys.modules
 
 
-CHECKS = (library_snippet, reproduction, partition_sweep, measure_tables, no_click)
+CHECKS = (library_snippet, reproduction, partition_sweep, measure_tables, direct_bounds, no_click)
 
 
 def main() -> int:

@@ -214,10 +214,12 @@ def test_bounds_bracket_every_original_body(body):
 @settings(max_examples=40, deadline=None)
 @given(frames(max_size=3).flatmap(lambda f: bodies(frame=f, max_focal=3)))
 def test_lower_and_upper_bounds_are_complementary(body):
+    # The complement is bounded on a fresh copy of the system, whose memo
+    # has not kept it from the target's answer.
     system = build_constraints([body])
     for s in enumerate_subsets(body.frame):
         lo = probability_bounds(system, s)
-        hi = probability_bounds(system, FocalSet(s.frame, s.bits ^ s.frame.universe().bits))
+        hi = probability_bounds(replace(system), FocalSet(s.frame, s.bits ^ s.frame.universe().bits))
         assert lo.lower + hi.upper == 1
         assert lo.upper + hi.lower == 1
 
@@ -317,6 +319,34 @@ def test_feasible_audit_runs_phase_one_once(
         assert lp_calls["minimize"] == solves
 
 
+def test_direct_bounds_read_complements_and_repeats_from_the_system(
+    partition_bodies_pair, abc, lp_calls
+):
+    # The README bodies pin P to (1/4, 1/4, 1/2).  {b} is at neither per-body
+    # bound, so both of its sides are solved; {a,c} is its complement, {b}
+    # is asked again, and the frame is at both per-body bounds, so the
+    # other three cost no LP.
+    system = build_constraints(list(partition_bodies_pair))
+    costs = []
+    for labels, bounds in [
+        (["b"], (F(1, 4), F(1, 4))),
+        (["a", "c"], (F(3, 4), F(3, 4))),
+        (["b"], (F(1, 4), F(1, 4))),
+        (["a", "b", "c"], (F(1), F(1))),
+    ]:
+        lp_calls.clear()
+        interval = probability_bounds(system, subset(abc, labels))
+        assert (interval.subset, interval.lower, interval.upper) == (subset(abc, labels), *bounds)
+        costs.append(lp_calls["minimize"])
+    assert costs == [2, 0, 0, 0]
+    assert system.solved == {
+        0b010: (F(1, 4), F(1, 4)),
+        0b101: (F(3, 4), F(3, 4)),
+        0b111: (F(1), F(1)),
+        0b000: (F(0), F(0)),
+    }
+
+
 @st.composite
 def audited_bodies(draw):
     """2-3 bodies on 3-5 elements whose focal sets are often the whole
@@ -340,7 +370,7 @@ def _cold_bounds(system, target):
         return None, None
     bits = target.bits
     objective = [1 if k == 0 and bits >> w & 1 else 0 for k, w in system.owners]
-    base = sum([m for w, m in enumerate(system.fixed) if bits >> w & 1], F(0))
+    base = F(sum([m for w, m in enumerate(system.fixed) if bits >> w & 1]), system.den)
     n = len(objective)
     low = lp.minimize(objective, system.constraints, n, system.start)
     high = lp.maximize(objective, system.constraints, n, system.start)
@@ -629,8 +659,8 @@ def test_build_constraints_matches_the_reference_builder(bodies_, named):
     assert type(system.den) is int and system.den >= 1
     assert system.start == start
     assert system.owners == owners
-    assert system.fixed == fixed
-    assert all(type(m) is F for m in system.fixed)
+    assert tuple(F(m, system.den) for m in system.fixed) == fixed
+    assert all(type(m) is int for m in system.fixed)
     assert system.constraints == constraints
     assert [type(con.rhs) for con in system.constraints] == [F] * len(constraints)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dsaudit import (
     EvidenceError,
     MeasureKind,
+    belief,
     combine,
     make_body,
     make_frame,
@@ -21,14 +22,34 @@ from dsaudit import (
     vacuous,
 )
 from dsaudit import evidence
-from dsaudit.evidence import MAX_MASS_LENGTH, StructureTag, as_mass, classify
-from dsaudit.frames import FocalSet
+from dsaudit.evidence import MAX_MASS_LENGTH, BodyOfEvidence, StructureTag, as_mass, classify
+from dsaudit.frames import FocalSet, FrameError
 from strategies import bodies
 
 
 @pytest.fixture
 def abc():
     return make_frame(["a", "b", "c"])
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda body, f: measure_table(body, MeasureKind.BELIEF),
+        lambda body, f: belief(body, FocalSet(f, 3)),
+    ],
+    ids=["measure_table", "belief"],
+)
+@pytest.mark.parametrize("den", [1, 2**70], ids=["den-1", "den-2**70"])
+def test_a_hand_built_body_with_a_bitmask_outside_its_frame_is_refused(read, den):
+    # The body's own FrameError comes before any table or sum reads the
+    # bitmask, at a packed (den 1) and at a wide (den 2**70) field width.
+    f = make_frame(["a", "b"])
+    with pytest.raises(FrameError, match="bitmask 0x8 out of range for frame of size 2"):
+        read(BodyOfEvidence(f, den, ((8, den),)), f)
+    with pytest.raises(FrameError, match="bitmask 0x4 out of range"):
+        BodyOfEvidence(f, 2, ((1, 1), (4, 1)))
+    assert BodyOfEvidence(f, 2, ((1, 1), (3, 1))).masses == ((1, 1), (3, 1))
 
 
 def test_make_body_valid(abc):

@@ -14,8 +14,11 @@ the widest that tier-1 audits.  One system is a pure function of
 `finding_hash` is the first 10 hex digits of the sha256 of
 `repr([(f.subset.bits, f.prob.lower, f.prob.upper) for f in findings])`.
 
-Run as a script, it audits every table row at seeds 1 and 2 and prints each
-hash with the pivot count and the audit's wall time:
+`counting` counts calls of `lp` functions, as tier-1 counts each audit's
+LP solves (calls of `lp.minimize`, which `lp.maximize` goes through).  Run
+as a script, this module audits every table row at seeds 1 and 2 and
+prints each hash with the LP solve count, the pivot count and the audit's
+wall time:
 
     PYTHONPATH=src python tests/wide_systems.py
 """
@@ -25,9 +28,11 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
-from dsaudit import audit, make_body, make_frame
+from dsaudit import audit, lp, make_body, make_frame
 from dsaudit.frames import FocalSet
 
 # (bodies, n, k): the three that tier-1 audits, then the two slower ones.
@@ -52,26 +57,40 @@ def finding_hash(findings) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:10]
 
 
+@contextmanager
+def counting(*names: str):
+    """A Counter of the calls of each named `lp` function while open."""
+    counts: Counter = Counter()
+    originals = {name: getattr(lp, name) for name in names}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name, original in originals.items():
+        setattr(lp, name, counted(name, original))
+    try:
+        yield counts
+    finally:
+        for name, original in originals.items():
+            setattr(lp, name, original)
+
+
 def main() -> None:
-    from dsaudit import lp
-
-    pivot = lp._pivot
-    pivots = [0]
-
-    def counted(*args):
-        pivots[0] += 1
-        return pivot(*args)
-
-    lp._pivot = counted
-    for row in TABLE:
-        for seed in (1, 2):
-            bodies = wide_bodies(seed, *row)
-            pivots[0] = 0
-            began = time.perf_counter()
-            report = audit(bodies)
-            took = time.perf_counter() - began
-            found = finding_hash(report.findings)
-            print(row, seed, found, f"{pivots[0]} pivots", f"{took:.2f} s", flush=True)
+    with counting("minimize", "_pivot") as counts:
+        for row in TABLE:
+            for seed in (1, 2):
+                bodies = wide_bodies(seed, *row)
+                counts.clear()
+                began = time.perf_counter()
+                report = audit(bodies)
+                took = time.perf_counter() - began
+                found = finding_hash(report.findings)
+                solves, pivots = counts["minimize"], counts["_pivot"]
+                print(row, seed, found, f"{solves} solves", f"{pivots} pivots", f"{took:.2f} s", flush=True)
 
 
 if __name__ == "__main__":
