@@ -22,7 +22,7 @@ from .combine import TotalConflictError, combine_many
 from .consistency import ConsistencyReport, Verdict, audit as run_audit
 from .documents import DocumentError, EvidenceDocument, load_document
 from .evidence import BodyOfEvidence, EvidenceError
-from .frames import FocalSet, Frame, FrameError, enumerate_subsets, subset
+from .frames import FocalSet, Frame, FrameError, _shown, enumerate_subsets, subset
 from .measures import MeasureKind, belief, mass_from_belief, measure_table, plausibility
 from .repro import run_reproduction
 from .sweeps import DEFAULT_XBAR_SLICES, MAX_SWEEP_POINTS, Family, sweep as run_sweep, sweep_to_csv
@@ -56,15 +56,11 @@ def _load(path: str) -> EvidenceDocument:
 def _pick_bodies(
     doc: EvidenceDocument, names: tuple[str, ...], path: str
 ) -> list[BodyOfEvidence]:
-    bodies = []
     for name in names:
         if name not in doc.bodies:
-            _fail(
-                EXIT_INPUT_ERROR,
-                f"{path}: no body named '{name}' (available: {', '.join(doc.bodies)})",
-            )
-        bodies.append(doc.bodies[name])
-    return bodies
+            known = ", ".join(map(_shown, doc.bodies))
+            _fail(EXIT_INPUT_ERROR, f"{path}: no body named {_shown(name)} (available: {known})")
+    return [doc.bodies[name] for name in names]
 
 
 def _parse_subset(frame: Frame, token: str) -> FocalSet:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .evidence import BodyOfEvidence, EvidenceError
+from .evidence import BodyOfEvidence
 from .frames import FocalSet, require_same_frame
 
 
@@ -120,8 +120,8 @@ def combine(a: BodyOfEvidence, b: BodyOfEvidence) -> CombinationResult:
 
     The combined body is built without ``make_body``: its masses are positive
     products, its focal sets distinct non-empty intersections in ascending
-    bitmask order, on the inputs' checked frame.  The one fact construction
-    does not give, that the buckets hold all the mass kappa leaves, is checked.
+    bitmask order, on the inputs' checked frame, and the buckets of two
+    valid bodies sum to ``da * db - clash``.
     """
     whole, clash, buckets = _products(a, b)
     scale = whole - clash
@@ -129,12 +129,6 @@ def combine(a: BodyOfEvidence, b: BodyOfEvidence) -> CombinationResult:
         raise TotalConflictError(
             "total conflict (kappa = 1): the bodies' supports are disjoint, "
             "so no decision set can be formed"
-        )
-    total = sum(buckets.values())
-    if total != scale:
-        raise EvidenceError(
-            f"combined masses must sum to exactly 1, got {Fraction(total, scale)}: "
-            "the input masses do not sum to 1"
         )
     g = math.gcd(scale, *buckets.values())
     masses = tuple((bits, buckets[bits] // g) for bits in sorted(buckets))

@@ -53,7 +53,7 @@ from typing import Sequence
 from . import lp
 from .combine import combine_many
 from .evidence import BodyOfEvidence, StructureTag, classify
-from .frames import FocalSet, Frame, require_same_frame
+from .frames import FocalSet, Frame, _shown, require_same_frame
 from .measures import belief, plausibility
 
 
@@ -168,7 +168,9 @@ def build_constraints(
     bodies' denominators.  Each focal set of two or more elements splits
     its mass over its elements; each body after the first has body 0's
     marginal on every element but the last.  A vacuous body adds one split
-    row.  Only the bodies' `den` and `masses` are read.
+    row.  Only the bodies' `den` and `masses` are read.  ``names``, one per
+    body and body0, body1, ... by default, is a sequence, not a bare string
+    (ValueError).
     """
     if not bodies:
         raise ValueError("need at least one body")
@@ -177,6 +179,8 @@ def build_constraints(
         require_same_frame(frame, b.frame)
     if names is None:
         names = [f"body{i}" for i in range(len(bodies))]
+    if isinstance(names, str):
+        raise ValueError(f"names take a sequence, not the string {_shown(names)}")
     if len(names) != len(bodies):
         raise ValueError(f"{len(names)} names for {len(bodies)} bodies")
 

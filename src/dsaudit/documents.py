@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 
 from .evidence import BodyOfEvidence, EvidenceError, make_body_bits, mass_ratio
-from .frames import FRAME_SIZE_CAP, Frame, FrameError, make_frame
+from .frames import FRAME_SIZE_CAP, Frame, FrameError, _shown, make_frame
 
 # An audit solves up to two LPs per target (fewer when the witness check of
 # `consistency.probability_bounds` settles a side), and every focal set of the
@@ -59,7 +59,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     if len(obj) != len(pairs):
         keys = [k for k, _ in pairs]
         repeated = next(k for k in obj if keys.count(k) > 1)
-        raise DocumentError(f"key '{repeated}' appears more than once in one object")
+        raise DocumentError(f"key {_shown(repeated)} appears more than once in one object")
     return obj
 
 
@@ -100,7 +100,7 @@ def parse_document(text: str, source: str = "<input>") -> EvidenceDocument:
 
     bodies: dict[str, BodyOfEvidence] = {}
     for name, entries in raw_bodies.items():
-        where = f"{source}: body '{name}'"
+        where = f"{source}: body {_shown(name)}"
         if not isinstance(entries, list):
             raise DocumentError(f"{where}: must be a list of set/mass entries")
         if len(entries) > MAX_FOCAL_SETS:

@@ -1,20 +1,24 @@
 """Bodies of evidence: focal sets paired with exact rational masses.
 
 Masses are exact rationals throughout; nothing in this package ever rounds.
-A valid body assigns no mass to the empty set (represented by its absence),
-has pairwise-distinct focal sets, and masses that sum to exactly 1.
 
 A body stores its masses as ints over one common denominator: ``den`` and
 one ``(bitmask, int)`` pair per focal set, so the mass of focal set S is
-``Fraction(int, den)``.  ``make_body``, ``combine`` and ``mass_from_belief``
-keep ``den`` the least such denominator, so equal bodies have equal fields
-and equal hashes.  ``focal``, the ``(FocalSet, Fraction)`` pairs, is built
-on first read and kept.  ``mass_ratio``, the one mass parser, reads a mass
-as a reduced ``(numerator, denominator)`` int pair; ``as_mass`` makes that a
-Fraction.  ``make_body`` reads each ``(FocalSet, mass)`` entry and hands its
-bitmask and int pair to ``make_body_bits``, which holds every check;
-document parsing calls ``make_body_bits`` directly, so no entry's mass
-becomes a Fraction unless an error message shows it.
+``Fraction(int, den)``.  A body is valid when its bitmasks are strictly
+ascending, non-zero (no mass on the empty set) and inside its frame, every
+mass is a positive int, and the masses sum to ``den``, so the masses sum to
+exactly 1 and ``den`` is at least 1.  `BodyOfEvidence` checks exactly
+this, however the body was built.  ``make_body``, ``combine`` and
+``mass_from_belief`` also keep ``den`` the least such denominator, so equal
+bodies have equal fields and equal hashes; a body built directly over a
+larger ``den`` is still valid.  ``focal``, the ``(FocalSet, Fraction)``
+pairs, is built on first read and kept.  ``mass_ratio``, the one mass
+parser, reads a mass as a reduced ``(numerator, denominator)`` int pair;
+``as_mass`` makes that a Fraction.  ``make_body`` reads each ``(FocalSet,
+mass)`` entry and hands its bitmask and int pair to ``make_body_bits``,
+which refuses the first bad entry in input order, drops zero masses, and
+sorts the rest; document parsing calls ``make_body_bits`` directly, so no
+entry's mass becomes a Fraction unless an error message shows it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
 
-from .frames import FocalSet, Frame, require_bits, require_same_frame
+from .frames import FocalSet, Frame, _shown, require_bits, require_same_frame
 
 MassLike = Union[Fraction, int, str]
 
@@ -42,19 +46,13 @@ class EvidenceError(ValueError):
 # 10 ** 1000000.  Python's int() already refuses more than 4300 digits, so a
 # fraction of two such numbers, even with an underscore between every pair of
 # digits, plus sign, slash or point and exponent, takes under 17_300
-# characters.  Error messages quote at most _SHOWN characters of the value.
+# characters.  Error messages quote at most a prefix of the value (`_shown`).
 MAX_MASS_EXPONENT = 4300
 MAX_MASS_LENGTH = 20_000
-_SHOWN = 40
 # A plain ASCII "p/q" or "n" this short holds at most 4300 digits per number,
 # so int() reads it as Fraction(text) would, without Fraction's regex.
 _PLAIN_LENGTH = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
-
-
-def _shown(value: object) -> str:
-    text = repr(value[: _SHOWN + 1] if isinstance(value, str) else value)
-    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
 
 
 def _plain_ratio(text: str) -> tuple[int, int] | None:
@@ -141,11 +139,14 @@ class BodyOfEvidence:
     """Focal sets with their masses, in ascending bitmask order.
 
     ``masses`` holds one ``(bitmask, int)`` pair per focal set, the int being
-    the mass over ``den``.  ``make_body`` validates; the other constructors
-    (``combine``, ``mass_from_belief``) build valid bodies by construction.
-    Any body checks that its last, and so largest, bitmask lies in its
-    frame (FrameError), so a directly built body cannot index past its
-    tables; it makes no `FocalSet` to do so.
+    the mass over ``den``.  Every body, however built, checks the axioms of
+    the module docstring on construction: it raises FrameError for a
+    bitmask outside its frame, and EvidenceError, with ``make_body``'s
+    message where ``make_body`` sees the same fault, for a negative mass,
+    positive mass on the empty set, a duplicate focal set or a bad sum, and
+    for a mass that is not a positive int, focal sets out of order, or a
+    ``den`` that is not a positive int.  Entries are checked in order, and
+    the sum last.  A valid body makes no `FocalSet` to be checked.
     """
 
     frame: Frame
@@ -153,8 +154,28 @@ class BodyOfEvidence:
     masses: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.masses:
-            require_bits(self.frame, self.masses[-1][0])
+        frame, den, last, total = self.frame, self.den, 0, 0
+        if type(den) is not int or den < 1:
+            raise EvidenceError(f"denominator {_shown(den)} is not a positive int")
+        for bits, m in self.masses:
+            if bits <= last or type(m) is not int or m < 1:
+                # The first bad entry.  The entries before it ascend to
+                # ``last``, whose frame check comes first.
+                after, s = FocalSet(frame, last), FocalSet(frame, bits)
+                if type(m) is int and m < 0:
+                    raise EvidenceError(f"negative mass {Fraction(m, den)} on {s}")
+                if type(m) is not int or not m:
+                    raise EvidenceError(f"mass {_shown(m)} on {s} is not a positive int")
+                if not bits:
+                    raise EvidenceError(f"positive mass {Fraction(m, den)} on the empty set")
+                if bits == last:
+                    raise EvidenceError(f"duplicate focal set {s}")
+                raise EvidenceError(f"focal sets out of order: {s} after {after}")
+            last, total = bits, total + m
+        # Ascending, so the last bitmask is the largest.
+        require_bits(frame, last)
+        if total != den:
+            raise EvidenceError(f"masses must sum to exactly 1, got {Fraction(total, den)}")
 
     @cached_property
     def focal(self) -> tuple[tuple[FocalSet, Fraction], ...]:
@@ -189,7 +210,8 @@ def make_body(
 
     Zero-mass entries are dropped (including a listed empty set with mass 0).
     Raises EvidenceError on: positive mass on the empty set, negative mass,
-    duplicate focal sets, or masses not summing to exactly 1.
+    duplicate focal sets (each checked per entry, in input order), or masses
+    not summing to exactly 1 (the body's own check).
     """
     return make_body_bits(
         frame, ((_bits_on(frame, s), *mass_ratio(raw)) for s, raw in assignments)
@@ -204,8 +226,8 @@ def _bits_on(frame: Frame, s: FocalSet) -> int:
 def make_body_bits(frame: Frame, masses: Iterable[tuple[int, int, int]]) -> BodyOfEvidence:
     """`make_body` of ``(bitmask, numerator, denominator)`` triples over
     ``frame``, each mass a reduced pair as `mass_ratio` gives it, with its
-    checks in the same order; an entry is read only after the one before it
-    passed."""
+    per-entry checks in the same order; an entry is read only after the one
+    before it passed."""
     seen: set[int] = set()
     kept: list[tuple[int, int, int]] = []
     for bits, num, d in masses:
@@ -219,12 +241,10 @@ def make_body_bits(frame: Frame, masses: Iterable[tuple[int, int, int]]) -> Body
         if bits == 0:
             raise EvidenceError(f"positive mass {Fraction(num, d)} on the empty set")
         kept.append((bits, num, d))
-    # The lcm of reduced denominators is the least common denominator.
+    # The lcm of reduced denominators is the least common denominator; the
+    # body checks the sum.
     den = math.lcm(*(d for _, _, d in kept))
     scaled = sorted((bits, num * (den // d)) for bits, num, d in kept)
-    total = sum(m for _, m in scaled)
-    if total != den:
-        raise EvidenceError(f"masses must sum to exactly 1, got {Fraction(total, den)}")
     return BodyOfEvidence(frame, den, tuple(scaled))
 
 

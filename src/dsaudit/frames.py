@@ -20,6 +20,20 @@ from typing import Iterable, Iterator, Sequence
 # `dsaudit measures` bounds its tables separately.
 FRAME_SIZE_CAP = 24
 _RESERVED = frozenset(",{}")
+# Error messages quote at most _SHOWN characters of any one value a user
+# supplied: a label, a body name, a JSON key, a mass string.
+_SHOWN = 40
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, cut to _SHOWN characters and "..." if longer."""
+    text = repr(value[: _SHOWN + 1] if isinstance(value, str) else value)
+    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
+
+
+def _listed(labels: Iterable[str]) -> str:
+    """A list of labels as a message shows it, each label through `_shown`."""
+    return "[" + ", ".join(map(_shown, labels)) + "]"
 
 
 class FrameError(ValueError):
@@ -49,17 +63,16 @@ class Frame:
             )
         for label in self.elements:
             if not isinstance(label, str) or not label:
-                raise FrameError(f"frame labels must be non-empty strings, got {label!r}")
+                raise FrameError(f"frame labels must be non-empty strings, got {_shown(label)}")
             # A subset prints as {a,b} and the CLI reads one as a,b, so a
             # label with one of these characters would read as two subsets.
             if not _RESERVED.isdisjoint(label):
-                raise FrameError(f"frame label {label!r} contains one of , {{ }}")
-        if len(set(self.elements)) != len(self.elements):
+                raise FrameError(f"frame label {_shown(label)} contains one of , {{ }}")
+        index = {label: i for i, label in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             dupes = sorted({x for x in self.elements if self.elements.count(x) > 1})
-            raise FrameError(f"duplicate frame labels: {', '.join(dupes)}")
-        object.__setattr__(
-            self, "_index", {label: i for i, label in enumerate(self.elements)}
-        )
+            raise FrameError(f"duplicate frame labels: {', '.join(map(_shown, dupes))}")
+        object.__setattr__(self, "_index", index)
 
     @property
     def size(self) -> int:
@@ -75,7 +88,7 @@ class Frame:
                 bits |= 1 << index[label]
             except KeyError:
                 raise FrameError(
-                    f"unknown label {label!r}; frame is {list(self.elements)}"
+                    f"unknown label {_shown(label)}; frame is {_listed(self.elements)}"
                 ) from None
         return bits
 
@@ -113,7 +126,7 @@ def make_frame(labels: Sequence[str]) -> Frame:
     labels, or a label containing ``,``, ``{`` or ``}``.
     """
     if isinstance(labels, str):
-        raise FrameError(f"a frame takes a sequence of labels, not the string {labels!r}")
+        raise FrameError(f"a frame takes a sequence of labels, not the string {_shown(labels)}")
     return Frame(tuple(labels))
 
 
@@ -124,7 +137,7 @@ def subset(frame: Frame, members: Sequence[str]) -> FocalSet:
     on a label the frame does not have.
     """
     if isinstance(members, str):
-        raise FrameError(f"a subset takes a sequence of labels, not the string {members!r}")
+        raise FrameError(f"a subset takes a sequence of labels, not the string {_shown(members)}")
     return FocalSet(frame, frame.bits_of(members))
 
 
@@ -132,7 +145,7 @@ def require_same_frame(first: Frame, second: Frame) -> None:
     """Raise FrameMismatchError, naming both label lists, if the frames differ."""
     if first != second:
         raise FrameMismatchError(
-            f"different frames: {list(first.elements)} vs {list(second.elements)}"
+            f"different frames: {_listed(first.elements)} vs {_listed(second.elements)}"
         )
 
 

@@ -31,18 +31,17 @@ or past 64 bits the fewest whole bytes, that holds the sum of the masses
 (zeta), or bel(frame) plus a guard bit (Mobius), so no field ever carries
 into or borrows from its neighbour.  ``struct`` packs and unpacks the four
 fixed widths, and ``int.to_bytes``/``int.from_bytes`` the wider ones.  For
-zeta, every partial sum of nonnegative masses is at most their sum; a body
-built directly with a negative mass is refused, naming it.  For Mobius,
-every field's top bit is set before each subtraction, so a field whose
-difference would be negative clears only its own top bit, and the kernel
-gives up.  On a belief table that happens only where a recovered mass is
-negative.  The same kernel then inverts bel(A) + k * 2**|A|, whose masses
-are m(A) + k, with k large enough that nothing in it goes negative; taking
-k off again names the lowest negative bitmask.  So nothing is ever
-approximated.  On the combined bodies of the combine-mobius benchmark (8-11
-elements; shared 2-vCPU machine, Python 3.11) one table takes about
-0.055 ms and one inversion about 0.08 ms, against 0.10 ms and 0.20 ms when
-bodies held Fractions.
+zeta, every partial sum of a body's masses, all positive, is at most their
+sum.  For Mobius, every field's top bit is set before each subtraction, so
+a field whose difference would be negative clears only its own top bit,
+and the kernel gives up.  On a belief table that happens only where a
+recovered mass is negative.  The same kernel then inverts
+bel(A) + k * 2**|A|, whose masses are m(A) + k, with k large enough that
+nothing in it goes negative; taking k off again names the lowest negative
+bitmask.  So nothing is ever approximated.  On the combined bodies of the
+combine-mobius benchmark (8-11 elements; shared 2-vCPU machine, Python
+3.11) one table takes about 0.055 ms and one inversion about 0.08 ms,
+against 0.10 ms and 0.20 ms when bodies held Fractions.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 from types import MappingProxyType
 
-from .evidence import BodyOfEvidence, EvidenceError
+from .evidence import BodyOfEvidence
 from .frames import FocalSet, Frame, enumerate_subsets, require_same_frame
 
 
@@ -219,11 +218,10 @@ def _guarded_difference(a: int, b: int, guard: int) -> int | None:
     return difference ^ guard if difference & guard == guard else None
 
 
-def _packed_zeta(scaled: tuple[tuple[int, int], ...], size: int) -> tuple[list[int], int]:
-    """The belief table of the ``(bitmask, int)`` masses ``scaled`` as packed
-    chunks, with its field width in bytes.  A negative mass raises
-    struct.error or OverflowError."""
-    width = _field_bytes(sum(m for _, m in scaled).bit_length())
+def _packed_zeta(scaled: tuple[tuple[int, int], ...], size: int, den: int) -> tuple[list[int], int]:
+    """The belief table of the positive ``(bitmask, int)`` masses ``scaled``,
+    which sum to ``den``, as packed chunks, with its field width in bytes."""
+    width = _field_bytes(den.bit_length())
     code = _FIELD_CODES.get(width)
     buf = bytearray(width << size)
     if code:
@@ -233,7 +231,7 @@ def _packed_zeta(scaled: tuple[tuple[int, int], ...], size: int) -> tuple[list[i
     else:
         for bits, m in scaled:
             buf[bits * width : (bits + 1) * width] = m.to_bytes(width, "little")
-    # Every partial sum of nonnegative masses is at most their sum, so no
+    # Every partial sum of positive masses is at most their sum, so no
     # field carries into its neighbour, within a chunk or between chunks.
     low = min(size, _CHUNK_SIZE)
     masks = _pass_masks(low, width)
@@ -286,27 +284,17 @@ def _packed_mobius(ints: tuple[int, ...], size: int, top: int) -> tuple[int, ...
 
 
 def measure_table(body: BodyOfEvidence, kind: MeasureKind) -> MeasureTable:
-    """Evaluate belief or plausibility on all 2**size subsets.
-
-    Raises EvidenceError, naming the focal set, for a body built directly
-    with a negative mass (``make_body`` refuses one)."""
+    """Evaluate belief or plausibility on all 2**size subsets."""
     frame, den, size = body.frame, body.den, body.frame.size
-    try:
-        chunks, width = _packed_zeta(body.masses, size)
-    except (struct.error, OverflowError):
-        for bits, m in body.masses:
-            if m < 0:
-                s = FocalSet(frame, bits)
-                raise EvidenceError(f"negative mass {Fraction(m, den)} on {s}") from None
-        raise
+    chunks, width = _packed_zeta(body.masses, size, den)
     if kind is MeasureKind.BELIEF:
         return MeasureTable(frame, kind, den, _unpack(chunks, size, width))
-    # bel(frame) - bel(S) in every field S is at least 0.  Read big-endian,
-    # the chunks and their fields come last to first, so index S reads the
-    # field of not S: bel(frame) - bel(not S) = pl(S).
+    # bel(frame) is den, the sum of a body's masses, and bel(frame) - bel(S)
+    # in every field S is at least 0.  Read big-endian, the chunks and their
+    # fields come last to first, so index S reads the field of not S:
+    # bel(frame) - bel(not S) = pl(S).
     step = width << min(size, _CHUNK_SIZE)
-    total = chunks[-1] >> (8 * (step - width))
-    everywhere = int.from_bytes(total.to_bytes(width, "little") * (step // width), "little")
+    everywhere = int.from_bytes(den.to_bytes(width, "little") * (step // width), "little")
     data = b"".join((everywhere - chunk).to_bytes(step, "big") for chunk in reversed(chunks))
     return MeasureTable(frame, kind, den, _fields(data, width, "big"))
 

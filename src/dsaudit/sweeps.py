@@ -28,7 +28,7 @@ from typing import Sequence
 from .combine import TotalConflictError
 from .consistency import ProbabilityInterval, Verdict, audit
 from .evidence import BodyOfEvidence, as_mass, make_body
-from .frames import FocalSet, make_frame, subset
+from .frames import FocalSet, _shown, make_frame, subset
 
 
 class Family(Enum):
@@ -208,7 +208,7 @@ def sweep(
     of EvidenceError here.
     """
     if not isinstance(family, Family):
-        raise ValueError(f"family must be a Family, not {family!r}")
+        raise ValueError(f"family must be a Family, not {_shown(family)}")
     if not isinstance(grid_density, int) or isinstance(grid_density, bool):
         raise ValueError(f"grid density must be an int, not {type(grid_density).__name__}")
     if grid_density < 2:
@@ -219,7 +219,7 @@ def sweep(
             f" the limit is {MAX_SWEEP_POINTS}"
         )
     if isinstance(xbar_slices, str):
-        raise ValueError(f"xbar slices take a sequence, not the string {xbar_slices!r}")
+        raise ValueError(f"xbar slices take a sequence, not the string {_shown(xbar_slices)}")
     xbar_slices = [as_mass(xbar) for xbar in xbar_slices]
     negative = next((xbar for xbar in xbar_slices if xbar < 0), None)
     if negative is not None:

@@ -20,6 +20,9 @@ Every warning is an error.  It checks:
 - `probability_bounds` called directly on the README's evidence file:
   {b}, then {a,c}, then the frame are [1/4, 1/4], [3/4, 3/4] and [1, 1],
   and the last two, a complement and the frame, cost no `lp.minimize` call;
+- `BodyOfEvidence` built directly: a valid body builds, and a body with a
+  negative mass, one with unsorted focal sets and one whose masses do not
+  sum to 1 each raise `EvidenceError` with its message on construction;
 - none of that imported `click`, the CLI's one dependency.
 
 It prints one line per check and exits 0 only if all of them pass.
@@ -54,7 +57,8 @@ from dsaudit import (  # noqa: E402
     sweep,
     sweep_to_csv,
 )
-from dsaudit import lp  # noqa: E402
+from dsaudit import EvidenceError, lp  # noqa: E402
+from dsaudit.evidence import BodyOfEvidence  # noqa: E402
 from dsaudit.repro import run_reproduction  # noqa: E402
 
 
@@ -151,11 +155,37 @@ def direct_bounds() -> None:
     assert solves[1:] == [0, 0], solves
 
 
+def hand_built_bodies() -> None:
+    frame = make_frame(["a", "b", "c"])
+    assert BodyOfEvidence(frame, 4, ((1, 1), (6, 3))) == make_body(
+        frame, [(subset(frame, ["a"]), "1/4"), (subset(frame, ["b", "c"]), "3/4")]
+    )
+    for den, masses, message in (
+        (1, ((1, 2), (2, -1)), "negative mass -1 on {b}"),
+        (2, ((2, 1), (1, 1)), "focal sets out of order: {a} after {b}"),
+        (4, ((1, 2), (2, 1)), "masses must sum to exactly 1, got 3/4"),
+    ):
+        try:
+            BodyOfEvidence(frame, den, masses)
+        except EvidenceError as exc:
+            assert str(exc) == message, (str(exc), message)
+        else:
+            raise AssertionError(f"built {masses}")
+
+
 def no_click() -> None:
     assert "click" not in sys.modules
 
 
-CHECKS = (library_snippet, reproduction, partition_sweep, measure_tables, direct_bounds, no_click)
+CHECKS = (
+    library_snippet,
+    reproduction,
+    partition_sweep,
+    measure_tables,
+    direct_bounds,
+    hand_built_bodies,
+    no_click,
+)
 
 
 def main() -> int:

@@ -61,4 +61,4 @@ def test_the_stdlib_smoke_script_passes_in_a_fresh_process():
         [sys.executable, str(script)], capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.endswith("6/6 checks passed\n")
+    assert result.stdout.endswith("7/7 checks passed\n")

@@ -475,6 +475,38 @@ def test_malformed_document_exits_2(runner, tmp_path, content, message):
     assert len(result.stderr) < 300
 
 
+_LONG = "x" * 10**6
+
+
+@pytest.mark.parametrize(
+    "document, args, message",
+    [
+        (PARTITION_DOC.replace('["b", "c"]', f'["b", "{_LONG}"]'), ["A"], "unknown label 'xxx"),
+        (
+            PARTITION_DOC.replace('"A"', f'"{_LONG}"').replace('"3/4"', '"x"'),
+            ["B"],
+            "body 'xxx",
+        ),
+        (PARTITION_DOC.replace('"b", "c"]', f'"{_LONG}", "{_LONG}"]', 1), ["A"], "duplicate"),
+        (PARTITION_DOC.replace('"c"]', f'"{_LONG},"]', 1), ["A"], "contains one of"),
+        (PARTITION_DOC.replace('"B"', f'"{_LONG}"'), [_LONG[1:]], "available: 'A', 'xxx"),
+        (
+            PARTITION_DOC.replace('"A"', f'"{_LONG}"').replace('"B"', f'"{_LONG}"'),
+            ["A"],
+            "key 'xxx",
+        ),
+    ],
+    ids=["unknown-label", "body-name", "repeated-label", "reserved-label", "no-such-body", "key"],
+)
+def test_a_message_quotes_at_most_a_prefix_of_any_user_text(runner, tmp_path, document, args, message):
+    # A label, body name or key of a megabyte is quoted by a short prefix.
+    path = write(tmp_path, "long.json", document)
+    result = runner.invoke(main, ["combine", "-i", path, *args])
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert len(result.stderr) < 1500
+
+
 def test_missing_file_exits_2(runner):
     result = runner.invoke(main, ["combine", "-i", "/nonexistent.json", "A"])
     assert result.exit_code == 2

@@ -229,10 +229,11 @@ def test_zero_conflict_means_no_renormalization(abc):
 
 
 def test_combine_refuses_masses_that_do_not_sum_to_one(abc):
-    # Built past make_body, so only combine's own sum check can see it.
-    short = BodyOfEvidence(abc, 4, ((subset(abc, ["a"]).bits, 2), (subset(abc, ["b"]).bits, 1)))
-    with pytest.raises(EvidenceError, match="sum to exactly 1, got 3/4"):
-        combine(short, vacuous(abc))
+    # Built past make_body, the body checks its own sum, so combine is never
+    # reached with it.
+    with pytest.raises(EvidenceError, match="sum to exactly 1, got 3/4") as exc_info:
+        combine(BodyOfEvidence(abc, 4, ((1, 2), (2, 1))), vacuous(abc))
+    assert exc_info.traceback[-1].name == "__post_init__"
 
 
 def _reference_combine(a, b):

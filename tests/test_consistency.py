@@ -191,6 +191,17 @@ def test_every_body_needs_a_name(abc):
         build_constraints([vacuous(abc), vacuous(abc)], ["only"])
 
 
+@pytest.mark.parametrize("names", ["AB", "ABC", "A" * 10**6], ids=["AB", "ABC", "long"])
+def test_a_bare_string_of_names_is_refused(abc, names):
+    # "AB" read as two names and "ABC" as three; the message quotes a prefix.
+    a = make_body(abc, [(subset(abc, ["a"]), "1/4"), (subset(abc, ["b", "c"]), "3/4")])
+    b = make_body(abc, [(subset(abc, ["a", "b"]), "1/2"), (subset(abc, ["c"]), "1/2")])
+    with pytest.raises(ValueError, match="names take a sequence, not the string 'A") as exc_info:
+        audit([a, b], names)
+    assert len(str(exc_info.value)) < 100
+    assert audit([a, b], ["A", "B"]).system.names == ("A", "B")
+
+
 def test_audit_infeasible_report(abc):
     a = make_body(abc, [(subset(abc, ["a"]), "99/100"), (subset(abc, ["c"]), "1/100")])
     b = make_body(abc, [(subset(abc, ["b"]), "99/100"), (subset(abc, ["c"]), "1/100")])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dsaudit import (
     EvidenceError,
     MeasureKind,
+    audit,
     belief,
     combine,
     make_body,
@@ -50,6 +51,87 @@ def test_a_hand_built_body_with_a_bitmask_outside_its_frame_is_refused(read, den
     with pytest.raises(FrameError, match="bitmask 0x4 out of range"):
         BodyOfEvidence(f, 2, ((1, 1), (4, 1)))
     assert BodyOfEvidence(f, 2, ((1, 1), (3, 1))).masses == ((1, 1), (3, 1))
+
+
+_FAULTS = {
+    # id: (den, masses, error, message) on frame {a, b, c}; each FrameError
+    # message goes on "for frame of size 3".
+    "unsorted-outside-frame": (2, ((8, 1), (1, 1)), FrameError, "bitmask 0x8 out of range"),
+    "outside-frame": (2, ((16, 1), (1, 1)), FrameError, "bitmask 0x10 out of range"),
+    "negative-bitmask": (2, ((1, 1), (-1, 1)), FrameError, "bitmask -0x1 out of range"),
+    "bad-sum": (4, ((1, 2), (2, 1)), EvidenceError, "masses must sum to exactly 1, got 3/4"),
+    "negative": (1, ((1, 2), (2, -1)), EvidenceError, "negative mass -1 on {b}"),
+    "zero": (1, ((1, 0), (2, 1)), EvidenceError, "mass 0 on {a} is not a positive int"),
+    "empty-set": (2, ((0, 1), (1, 1)), EvidenceError, "positive mass 1/2 on the empty set"),
+    "duplicate": (2, ((1, 1), (1, 1)), EvidenceError, "duplicate focal set {a}"),
+    "unsorted": (2, ((2, 1), (1, 1)), EvidenceError, "focal sets out of order: {a} after {b}"),
+    "den-0-no-masses": (0, (), EvidenceError, "denominator 0 is not a positive int"),
+    "no-masses": (1, (), EvidenceError, "masses must sum to exactly 1, got 0"),
+    "negative-den": (-1, ((1, -1),), EvidenceError, "denominator -1 is not a positive int"),
+    "float-den": (2.0, ((1, 1), (2, 1)), EvidenceError, "denominator 2.0 is not a positive int"),
+    "bool-mass": (1, ((1, True),), EvidenceError, "mass True on {a} is not a positive int"),
+    "fraction-mass": (
+        3,
+        ((1, Fraction(3, 2)), (2, Fraction(3, 2))),
+        EvidenceError,
+        "mass Fraction(3, 2) on {a} is not a positive int",
+    ),
+}
+
+
+@pytest.mark.parametrize("den, masses, error, message", list(_FAULTS.values()), ids=list(_FAULTS))
+def test_a_hand_built_body_that_breaks_an_axiom_is_refused_on_construction(
+    abc, den, masses, error, message
+):
+    # Every fault raises where the body is built, with make_body's message
+    # for the faults make_body sees too, before any consumer reads it.
+    with pytest.raises(error) as exc_info:
+        BodyOfEvidence(abc, den, masses)
+    assert type(exc_info.value) is error
+    suffix = " for frame of size 3" if error is FrameError else ""
+    assert str(exc_info.value) == message + suffix
+
+
+def test_the_motivating_hand_built_bodies_reach_no_consumer(abc):
+    # A negative mass made belief({a}) 2 and plausibility({b}) -1; {a} listed
+    # twice made an audit bound P({c}) by [0, 0]; an unsorted body on a
+    # 2-element frame got past a check of its last bitmask alone.
+    with pytest.raises(EvidenceError, match="negative mass -1 on {b}"):
+        belief(BodyOfEvidence(abc, 1, ((1, 2), (2, -1))), subset(abc, ["a"]))
+    b = make_body(abc, [(subset(abc, ["a", "b"]), "1/2"), (subset(abc, ["c"]), "1/2")])
+    with pytest.raises(EvidenceError, match="duplicate focal set {a}"):
+        audit([BodyOfEvidence(abc, 2, ((1, 1), (1, 1))), b])
+    ab = make_frame(["a", "b"])
+    with pytest.raises(FrameError, match="bitmask 0x8 out of range for frame of size 2"):
+        measure_table(BodyOfEvidence(ab, 2, ((8, 1), (1, 1))), MeasureKind.BELIEF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_hand_built_body_either_raises_or_equals_make_body_of_its_fractions(data):
+    # Bitmasks from -1 to one past the frame and masses from -1; the entries
+    # are mostly distinct and sorted and den mostly their sum, so some of
+    # the draws are valid bodies and the rest break one or more axioms.
+    size = data.draw(st.integers(1, 3), "size")
+    frame = make_frame(["a", "b", "c"][:size])
+    mostly = st.sampled_from([True, True, True, False])
+    entry = st.tuples(st.sampled_from(range(-1, (1 << size) + 1)), st.sampled_from(range(-1, 8)))
+    unique = (lambda e: e[0]) if data.draw(mostly, "distinct") else None
+    entries = data.draw(st.lists(entry, min_size=1, max_size=4, unique_by=unique), "entries")
+    if data.draw(mostly, "sorted"):
+        entries.sort()
+    total = sum(m for _, m in entries)
+    den = total if data.draw(mostly, "den is the sum") else data.draw(st.integers(-1, 12), "den")
+    try:
+        body = BodyOfEvidence(frame, den, tuple(entries))
+    except (EvidenceError, FrameError) as exc:
+        event(f"refused: {str(exc).split()[0]}")
+        return
+    event("built")
+    fractions = [(FocalSet(frame, bits), Fraction(m, den)) for bits, m in entries]
+    assert body.focal == make_body(frame, fractions).focal
+    assert [bits for bits, _ in entries] == sorted({bits for bits, _ in entries})
+    assert all(m > 0 for _, m in entries) and 0 not in dict(entries)
 
 
 def test_make_body_valid(abc):

@@ -113,3 +113,31 @@ def test_enumerate_subsets_counts():
         assert len({s.bits for s in subsets}) == 2**size
         assert subsets[0] == frame.empty()
         assert subsets[-1] == frame.universe()
+
+
+_LONG = "x" * 10**6
+_WIDE = make_frame(["a", _LONG])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_frame(_LONG), "not the string 'xxx"),
+        (lambda: subset(AB, _LONG), "not the string 'xxx"),
+        (lambda: subset(AB, [_LONG]), "unknown label 'xxx"),
+        (lambda: subset(_WIDE, ["z"]), "frame is ['a', 'xxx"),
+        (lambda: make_frame([_LONG, _LONG]), "duplicate frame labels: 'xxx"),
+        (lambda: make_frame([_LONG + "{"]), "frame label 'xxx"),
+        (lambda: make_frame([b"x" * 10**6]), "got b'xxx"),
+        (lambda: make_body(AB, [(subset(_WIDE, ["a"]), 1)]), "['a', 'b'] vs ['a', 'xxx"),
+    ],
+    ids=[
+        "bare-frame", "bare-subset", "unknown-label", "frame-listing",
+        "repeated-label", "reserved-label", "not-a-string", "mixed-frames",
+    ],
+)
+def test_a_frame_message_quotes_at_most_a_prefix_of_each_label(call, message):
+    with pytest.raises(FrameError) as exc_info:
+        call()
+    assert message in str(exc_info.value)
+    assert len(str(exc_info.value)) < 200

@@ -451,10 +451,10 @@ def test_packed_kernels_match_the_butterfly(data):
     total = sum(entries.values())
     if min(entries.values(), default=0) < 0:
         with pytest.raises((struct.error, OverflowError)):
-            _packed_zeta(tuple(entries.items()), size)
+            _packed_zeta(tuple(entries.items()), size, total)
         event("zeta: negative mass")
     else:
-        chunks, width = _packed_zeta(tuple(entries.items()), size)
+        chunks, width = _packed_zeta(tuple(entries.items()), size, total)
         assert width == _width(total.bit_length())
         assert list(_unpack(chunks, size, width)) == zeta
         event(f"zeta: {_width_label(width)} fields")
@@ -493,7 +493,7 @@ def test_packed_kernels_match_the_butterfly(data):
 def test_each_field_width_serves_a_table_whose_sum_fits_it(bits, width):
     total = (1 << bits) - 1
     scaled = ((3, total // 3), (31, total - total // 3))
-    chunks, got = _packed_zeta(scaled, 5)
+    chunks, got = _packed_zeta(scaled, 5, total)
     assert got == width
     masses = [0] * 32
     for mask, m in scaled:
@@ -653,14 +653,15 @@ def test_tables_with_negative_entries_name_the_lowest_negative_mass(body, data):
 @pytest.mark.parametrize("kind", list(MeasureKind))
 @pytest.mark.parametrize("den", [4, 255, 1 << 64, (1 << 70) + 3])
 def test_a_hand_built_body_with_a_negative_mass_gets_no_table(kind, den):
-    # make_body refuses a negative mass; a body built directly is refused by
-    # measure_table, naming its lowest negative focal set, at every field
-    # width, and even where a positive mass outgrows the field of the sum.
+    # make_body refuses a negative mass, and so does a body built directly,
+    # naming its first negative focal set, before measure_table is reached:
+    # at every field width, and where a positive mass outgrows the field of
+    # the sum.
     frame = make_frame(["a", "b", "c"])
-    body = BodyOfEvidence(frame, den, ((1, -1), (2, -2), (4, den + 3)))
     with pytest.raises(EvidenceError) as exc_info:
-        measure_table(body, kind)
+        measure_table(BodyOfEvidence(frame, den, ((1, -1), (2, -2), (4, den + 3))), kind)
     assert str(exc_info.value) == f"negative mass {Fraction(-1, den)} on {{a}}"
+    assert exc_info.traceback[-1].name == "__post_init__"
 
 
 def test_combination_tables_and_inversion_build_no_view(monkeypatch):

@@ -469,6 +469,17 @@ def test_sweep_refuses_a_bare_string_of_slices_before_any_audit(monkeypatch, sli
         sweep(Family.QUASI_X_XBAR_Y, 2, xbar_slices=slices)
 
 
+@pytest.mark.parametrize(
+    "family, slices",
+    [(Family.QUASI_X_XBAR_Y, "1" * 10**6), ("x" * 10**6, ())],
+    ids=["bare-string-slices", "family"],
+)
+def test_a_sweep_message_quotes_at_most_a_prefix_of_its_input(family, slices):
+    with pytest.raises(ValueError) as exc_info:
+        sweep(family, 2, xbar_slices=slices)
+    assert len(str(exc_info.value)) < 200
+
+
 def test_sweep_reads_string_slices_as_their_fractions():
     as_strings = sweep(Family.QUASI_X_XBAR_Y, 4, xbar_slices=["0", "1/2"])
     as_fractions = sweep(Family.QUASI_X_XBAR_Y, 4, xbar_slices=[F(0), F(1, 2)])
