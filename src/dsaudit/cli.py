@@ -41,8 +41,21 @@ _FORMATS = click.Choice(["table", "csv", "json"])
 _FAMILIES = {"partition-xy": Family.PARTITION_XY, "quasi-x-xbar-y": Family.QUASI_X_XBAR_Y}
 
 
+def _write(text: str, stream: str = "stdout") -> None:
+    """Write ``text`` and a newline, in one write, to the ``sys.stdout`` (or
+    ``sys.stderr``) of this moment.
+
+    `click.echo` with no file caches the stream it looks up, and its cache
+    holds each stream, with an in-process caller's captured output, alive
+    until the process exits; a stream passed in enters no cache.  Unless
+    the stream already escapes what it cannot encode, click writes UTF-8 to
+    its bytes, so any label prints under any locale.
+    """
+    click.echo(text, file=click.get_text_stream(stream, errors="backslashreplace"))
+
+
 def _fail(code: int, message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    _write(f"error: {message}", "stderr")
     sys.exit(code)
 
 
@@ -83,18 +96,17 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _emit(rows: list[list[str]], header: list[str], fmt: str, json_key: str) -> None:
+def _render(rows: list[list[str]], header: list[str], fmt: str, json_key: str) -> str:
+    """The rows in ``fmt``, without a final newline."""
     if fmt == "table":
-        click.echo(_table(rows, header))
-    elif fmt == "csv":
+        return _table(rows, header)
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        click.echo(buf.getvalue(), nl=False)
-    else:
-        payload = {json_key: [dict(zip(header, r)) for r in rows]}
-        click.echo(json.dumps(payload, indent=2))
+        return buf.getvalue().removesuffix("\n")
+    return json.dumps({json_key: [dict(zip(header, r)) for r in rows]}, indent=2)
 
 
 @click.group()
@@ -120,10 +132,11 @@ def cmd_combine(path: str, fmt: str, body_names: tuple[str, ...]) -> None:
         )
     kappa = str(result.kappa)
     rows = [[str(s), str(m), kappa] for s, m in result.combined.focal]
-    _emit(rows, ["element", "mass", "kappa"], fmt, "combined")
+    text = _render(rows, ["element", "mass", "kappa"], fmt, "combined")
     if fmt == "table" and result.conflict_pairs:
         pairs = ", ".join(f"({s}, {t})" for s, t in result.conflict_pairs)
-        click.echo(f"conflict pairs: {pairs}")
+        text += f"\nconflict pairs: {pairs}"
+    _write(text)
 
 
 @main.command("measures")
@@ -179,16 +192,18 @@ def cmd_measures(
         rows = [
             [str(s), str(belief(body, s)), str(plausibility(body, s))] for s in targets
         ]
-    _emit(rows, ["subset", "belief", "plausibility"], fmt, "measures")
+    text = _render(rows, ["subset", "belief", "plausibility"], fmt, "measures")
     if invert:
         recovered = mass_from_belief(bel)
         if recovered != body:
+            _write(text)
             _fail(EXIT_INCONSISTENT, f"mass recovery mismatch: {recovered}")
         if fmt == "table":
-            click.echo("mass recovery from belief: OK (round-trip exact)")
+            text += "\nmass recovery from belief: OK (round-trip exact)"
+    _write(text)
 
 
-def _render_audit(report: ConsistencyReport, fmt: str) -> None:
+def _render_audit(report: ConsistencyReport, fmt: str) -> str:
     kappa = str(report.kappa)
     rows = []
     for f in report.findings:
@@ -203,7 +218,9 @@ def _render_audit(report: ConsistencyReport, fmt: str) -> None:
                 kappa,
             ]
         )
-    _emit(rows, ["element", "ds_lo", "ds_hi", "p_lo", "p_hi", "verdict", "kappa"], fmt, "audit")
+    return _render(
+        rows, ["element", "ds_lo", "ds_hi", "p_lo", "p_hi", "verdict", "kappa"], fmt, "audit"
+    )
 
 
 @main.command("audit")
@@ -220,7 +237,7 @@ def cmd_audit(path: str, fmt: str, body_names: tuple[str, ...]) -> None:
         report = run_audit(bodies, list(body_names))
     except TotalConflictError as exc:
         _fail(EXIT_TOTAL_CONFLICT, str(exc))
-    _render_audit(report, fmt)
+    _write(_render_audit(report, fmt))
     if not report.feasible:
         sys.exit(EXIT_INFEASIBLE)
     if any(f.verdict in (Verdict.VIOLATION, Verdict.DISJOINT_VIOLATION) for f in report.findings):
@@ -261,21 +278,22 @@ def cmd_sweep(
     except OSError as exc:
         _fail(EXIT_INPUT_ERROR, f"{output}: {exc.strerror or exc}")
     n_rows = sum(len(p.rows) for p in result.points)
-    click.echo(f"wrote {n_rows} rows ({len(result.points)} grid points) to {output}")
+    _write(f"wrote {n_rows} rows ({len(result.points)} grid points) to {output}")
 
 
 @main.command("paper-repro")
 def cmd_paper_repro() -> None:
     """Re-run the built-in reproduction fixtures and compare exactly."""
     checks = run_reproduction()
-    failures = 0
-    for c in checks:
-        if c.ok:
-            click.echo(f"ok       {c.label}: {c.actual}")
-        else:
-            failures += 1
-            click.echo(f"MISMATCH {c.label}: expected {c.expected}, got {c.actual}")
-    click.echo(f"{len(checks) - failures}/{len(checks)} checks passed")
+    lines = [
+        f"ok       {c.label}: {c.actual}"
+        if c.ok
+        else f"MISMATCH {c.label}: expected {c.expected}, got {c.actual}"
+        for c in checks
+    ]
+    failures = sum(not c.ok for c in checks)
+    lines.append(f"{len(checks) - failures}/{len(checks)} checks passed")
+    _write("\n".join(lines))
     if failures:
         sys.exit(EXIT_INCONSISTENT)
 

@@ -20,7 +20,8 @@ JSON floats are rejected: the binary value the JSON parser hands over is
 usually not the decimal the file shows.  A key may appear only once in
 each object, so a repeated body name or entry key is an error rather than
 a silent overwrite.  A document holds at most MAX_BODIES bodies of at most
-MAX_FOCAL_SETS entries each.
+MAX_FOCAL_SETS entries each, its labels and body names hold at most
+MAX_LABEL_LENGTH characters, and a file holds at most MAX_DOCUMENT_BYTES.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .evidence import BodyOfEvidence, EvidenceError, make_body_bits, mass_ratio
+from .evidence import MAX_MASS_LENGTH, BodyOfEvidence, EvidenceError, make_body_bits, mass_ratio
 from .frames import FRAME_SIZE_CAP, Frame, FrameError, _shown, make_frame
 
 # An audit solves up to two LPs per target (fewer when the witness check of
@@ -40,6 +41,18 @@ from .frames import FRAME_SIZE_CAP, Frame, FrameError, _shown, make_frame
 # and gave 55454 (see the README).
 MAX_FOCAL_SETS = FRAME_SIZE_CAP
 MAX_BODIES = 4
+# A label or body name holds at most MAX_LABEL_LENGTH characters, so a focal
+# set prints in at most FRAME_SIZE_CAP * (MAX_LABEL_LENGTH + 1) + 1 of them,
+# in a table or in a message.
+MAX_LABEL_LENGTH = 256
+# The strings of a document at every cap above, each set listing each label
+# once, at 6 bytes a character (a "\u00e9" escape; UTF-8 takes at most 4),
+# fill half of MAX_DOCUMENT_BYTES; the other half is room for punctuation
+# and whitespace.  `load_document` reads no more than this.
+MAX_DOCUMENT_BYTES = 2 * 6 * (
+    (1 + MAX_BODIES * MAX_FOCAL_SETS) * FRAME_SIZE_CAP * MAX_LABEL_LENGTH
+    + MAX_BODIES * (MAX_LABEL_LENGTH + MAX_FOCAL_SETS * MAX_MASS_LENGTH)
+)
 _ENTRY_KEYS = {"set", "mass"}
 
 
@@ -85,12 +98,20 @@ def parse_document(text: str, source: str = "<input>") -> EvidenceDocument:
     labels = data.get("frame")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise DocumentError(f"{source}: 'frame' must be a list of strings")
+    raw_bodies = data.get("bodies")
+    names = raw_bodies if isinstance(raw_bodies, dict) else ()
+    for kind, values in (("frame label", labels), ("body name", names)):
+        for value in values:
+            if len(value) > MAX_LABEL_LENGTH:
+                raise DocumentError(
+                    f"{source}: {kind} {_shown(value)} has {len(value)} characters; "
+                    f"the limit is {MAX_LABEL_LENGTH}"
+                )
     try:
         frame = make_frame(labels)
     except FrameError as exc:
         raise DocumentError(f"{source}: invalid frame: {exc}") from None
 
-    raw_bodies = data.get("bodies")
     if not isinstance(raw_bodies, dict) or not raw_bodies:
         raise DocumentError(f"{source}: 'bodies' must be a non-empty object")
     if len(raw_bodies) > MAX_BODIES:
@@ -130,11 +151,19 @@ def parse_document(text: str, source: str = "<input>") -> EvidenceDocument:
 
 
 def load_document(path: str) -> EvidenceDocument:
+    """Read and parse an evidence file of at most MAX_DOCUMENT_BYTES bytes;
+    a longer one is refused after reading one byte past the cap."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
         raise DocumentError(f"{path}: {exc.strerror or exc}") from None
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise DocumentError(f"{path}: more than {MAX_DOCUMENT_BYTES} bytes, the limit for a file")
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    return parse_document(text, source=path)
+    # Universal newlines, as a text-mode read gives them, so a parse error's
+    # line number counts a lone carriage return as a line end.
+    return parse_document(text.replace("\r\n", "\n").replace("\r", "\n"), source=path)

@@ -141,12 +141,13 @@ class BodyOfEvidence:
     ``masses`` holds one ``(bitmask, int)`` pair per focal set, the int being
     the mass over ``den``.  Every body, however built, checks the axioms of
     the module docstring on construction: it raises FrameError for a
-    bitmask outside its frame, and EvidenceError, with ``make_body``'s
-    message where ``make_body`` sees the same fault, for a negative mass,
-    positive mass on the empty set, a duplicate focal set or a bad sum, and
-    for a mass that is not a positive int, focal sets out of order, or a
-    ``den`` that is not a positive int.  Entries are checked in order, and
-    the sum last.  A valid body makes no `FocalSet` to be checked.
+    bitmask that is not an int or lies outside its frame, and EvidenceError,
+    with ``make_body``'s message where ``make_body`` sees the same fault,
+    for a negative mass, positive mass on the empty set, a duplicate focal
+    set or a bad sum, and for a mass that is not a positive int, focal sets
+    out of order, or a ``den`` that is not a positive int.  Entries are
+    checked in order, and the sum last.  A valid body makes no `FocalSet`
+    to be checked.
     """
 
     frame: Frame
@@ -158,9 +159,10 @@ class BodyOfEvidence:
         if type(den) is not int or den < 1:
             raise EvidenceError(f"denominator {_shown(den)} is not a positive int")
         for bits, m in self.masses:
-            if bits <= last or type(m) is not int or m < 1:
+            if type(bits) is not int or bits <= last or type(m) is not int or m < 1:
                 # The first bad entry.  The entries before it ascend to
-                # ``last``, whose frame check comes first.
+                # ``last``, whose frame check comes first; a bitmask that is
+                # not an int fails its own.
                 after, s = FocalSet(frame, last), FocalSet(frame, bits)
                 if type(m) is int and m < 0:
                     raise EvidenceError(f"negative mass {Fraction(m, den)} on {s}")

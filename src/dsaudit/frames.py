@@ -150,7 +150,10 @@ def require_same_frame(first: Frame, second: Frame) -> None:
 
 
 def require_bits(frame: Frame, bits: int) -> None:
-    """Raise FrameError unless ``bits`` is the bitmask of a subset of ``frame``."""
+    """Raise FrameError unless ``bits`` is the bitmask of a subset of ``frame``:
+    an ``int``, not a ``bool`` or a float, inside the frame."""
+    if type(bits) is not int:
+        raise FrameError(f"bitmask {_shown(bits)} is a {type(bits).__name__}, not an int")
     if not 0 <= bits < (1 << frame.size):
         raise FrameError(f"bitmask {bits:#x} out of range for frame of size {frame.size}")
 

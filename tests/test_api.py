@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import dsaudit
 from dsaudit import Verdict
 from dsaudit.cli import main
+from dsaudit.documents import MAX_DOCUMENT_BYTES, MAX_LABEL_LENGTH
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -62,3 +63,8 @@ def test_the_stdlib_smoke_script_passes_in_a_fresh_process():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.endswith("7/7 checks passed\n")
+
+
+def test_the_readme_states_the_document_caps():
+    assert f"at most {MAX_LABEL_LENGTH} characters" in README
+    assert f"more than {MAX_DOCUMENT_BYTES} bytes" in README

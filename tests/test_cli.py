@@ -1,17 +1,23 @@
 """CLI contract: subcommands, formats, exit codes, deterministic output."""
 
 import dataclasses
+import gc
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from dsaudit import cli, consistency, repro, sweeps
+import dsaudit
+from dsaudit import cli, consistency, documents, repro, sweeps
 from dsaudit.cli import main
-from dsaudit.documents import MAX_BODIES, MAX_FOCAL_SETS, load_document
+from dsaudit.documents import MAX_BODIES, MAX_FOCAL_SETS, MAX_LABEL_LENGTH, load_document
 from dsaudit.repro import CheckResult
 
 DATA = Path(__file__).parent / "data"
@@ -476,6 +482,8 @@ def test_malformed_document_exits_2(runner, tmp_path, content, message):
 
 
 _LONG = "x" * 10**6
+# Labels and body names longer than the cap are refused by the cap itself.
+_AT_CAP = "x" * MAX_LABEL_LENGTH
 
 
 @pytest.mark.parametrize(
@@ -483,13 +491,13 @@ _LONG = "x" * 10**6
     [
         (PARTITION_DOC.replace('["b", "c"]', f'["b", "{_LONG}"]'), ["A"], "unknown label 'xxx"),
         (
-            PARTITION_DOC.replace('"A"', f'"{_LONG}"').replace('"3/4"', '"x"'),
+            PARTITION_DOC.replace('"A"', f'"{_AT_CAP}"').replace('"3/4"', '"x"'),
             ["B"],
             "body 'xxx",
         ),
-        (PARTITION_DOC.replace('"b", "c"]', f'"{_LONG}", "{_LONG}"]', 1), ["A"], "duplicate"),
-        (PARTITION_DOC.replace('"c"]', f'"{_LONG},"]', 1), ["A"], "contains one of"),
-        (PARTITION_DOC.replace('"B"', f'"{_LONG}"'), [_LONG[1:]], "available: 'A', 'xxx"),
+        (PARTITION_DOC.replace('"b", "c"]', f'"{_AT_CAP}", "{_AT_CAP}"]', 1), ["A"], "duplicate"),
+        (PARTITION_DOC.replace('"c"]', f'"{_AT_CAP[1:]},"]', 1), ["A"], "contains one of"),
+        (PARTITION_DOC.replace('"B"', f'"{_AT_CAP}"'), [_LONG[1:]], "available: 'A', 'xxx"),
         (
             PARTITION_DOC.replace('"A"', f'"{_LONG}"').replace('"B"', f'"{_LONG}"'),
             ["A"],
@@ -499,14 +507,107 @@ _LONG = "x" * 10**6
     ids=["unknown-label", "body-name", "repeated-label", "reserved-label", "no-such-body", "key"],
 )
 def test_a_message_quotes_at_most_a_prefix_of_any_user_text(runner, tmp_path, document, args, message):
-    # A label, body name or key of a megabyte is quoted by a short prefix.
+    # A label or body name at the cap, or a set member or key of a
+    # megabyte, is quoted by a short prefix.
     path = write(tmp_path, "long.json", document)
     result = runner.invoke(main, ["combine", "-i", path, *args])
     assert result.exit_code == 2
     assert message in result.stderr
+    assert "x" * 41 not in result.stderr
     assert len(result.stderr) < 1500
+
+
+@pytest.mark.parametrize("length", [MAX_LABEL_LENGTH + 1, 10**6], ids=["cap+1", "megabyte"])
+@pytest.mark.parametrize(
+    "old, kind", [('"c"', "frame label"), ('"B"', "body name")], ids=["label", "body-name"]
+)
+def test_a_label_or_body_name_over_the_cap_exits_2_before_any_mass_parses(
+    runner, tmp_path, monkeypatch, old, kind, length
+):
+    def no_mass(value):
+        raise AssertionError("a mass parsed above the label cap")
+
+    monkeypatch.setattr(documents, "mass_ratio", no_mass)
+    # The first "c" is the frame's.
+    path = write(tmp_path, "long.json", PARTITION_DOC.replace(old, f'"{"x" * length}"', 1))
+    result = runner.invoke(main, ["combine", "-i", path, "A"])
+    assert result.exit_code == 2
+    assert f"{kind} 'xxx" in result.stderr
+    assert f"has {length} characters; the limit is {MAX_LABEL_LENGTH}" in result.stderr
+    assert len(result.stderr) < 300
+
+
+def test_a_label_and_a_body_name_at_the_cap_parse(runner, tmp_path):
+    document = PARTITION_DOC.replace('"c"', f'"{_AT_CAP}"').replace('"B"', f'"{_AT_CAP}"')
+    result = runner.invoke(main, ["combine", "-i", write(tmp_path, "cap.json", document), "A"])
+    assert result.exit_code == 0
+    assert f"{{b,{_AT_CAP}}}  3/4" in result.stdout
+
+
+def test_a_file_over_the_byte_cap_exits_2_unread_past_the_cap(runner, tmp_path, monkeypatch):
+    cap = len(PARTITION_DOC.encode())
+    path = write(tmp_path, "big.json", PARTITION_DOC + " " * 10**6)
+    read = []
+
+    class Recorded(io.BytesIO):
+        def read(self, size=-1):
+            data = super().read(size)
+            read.append(len(data))
+            return data
+
+    monkeypatch.setattr(documents, "MAX_DOCUMENT_BYTES", cap)
+    monkeypatch.setattr(
+        documents, "open", lambda file, mode: Recorded(Path(file).read_bytes()), raising=False
+    )
+    result = runner.invoke(main, ["combine", "-i", path, "A"])
+    assert result.exit_code == 2
+    assert f"more than {cap} bytes, the limit for a file" in result.stderr
+    assert sum(read) == cap + 1
+    # A file at the cap parses.
+    result = runner.invoke(main, ["combine", "-i", write(tmp_path, "p.json", PARTITION_DOC), "A"])
+    assert result.exit_code == 0
 
 
 def test_missing_file_exits_2(runner):
     result = runner.invoke(main, ["combine", "-i", "/nonexistent.json", "A"])
     assert result.exit_code == 2
+
+
+def _live_bytes_io() -> int:
+    gc.collect()
+    return sum(isinstance(o, io.BytesIO) for o in gc.get_objects())
+
+
+def test_no_invocation_keeps_its_captured_output(runner, tmp_path):
+    # click.echo without a file caches every stream it writes to, keyed by
+    # the stream and holding it alive; CliRunner captures each invocation
+    # in a fresh BytesIO, so every invocation's output used to stay alive.
+    path = write(tmp_path, "p.json", PARTITION_DOC)
+    commands = [
+        (["audit", "-i", path, "A", "B"], 4),
+        (["combine", "-i", path, "A", "B"], 0),
+        (["measures", "-i", path, "A", "--all", "--invert"], 0),
+        (["sweep", "partition-xy", "--grid", "2", "-o", str(tmp_path / "s.csv")], 0),
+        (["paper-repro"], 0),
+        (["audit", "-i", path, "A"], 2),
+    ]
+    before = _live_bytes_io()
+    for args, code in commands:
+        for _ in range(20):
+            assert runner.invoke(main, args).exit_code == code
+    assert _live_bytes_io() <= before
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii", "utf-8"])
+def test_a_label_stdout_cannot_encode_prints_as_utf8(encoding):
+    # CliRunner's streams are always UTF-8, so this runs a real process.
+    src = str(Path(dsaudit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONIOENCODING": encoding}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["audit", "-i", str(DATA / "non_ascii_labels.json"), "A", "B"]
+    result = subprocess.run(
+        [sys.executable, "-m", "dsaudit", *args], capture_output=True, env=env, timeout=120
+    )
+    assert result.stderr == b""
+    assert result.returncode == 4
+    assert result.stdout == (DATA / "non_ascii_audit.txt").read_bytes()

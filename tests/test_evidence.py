@@ -106,6 +106,22 @@ def test_the_motivating_hand_built_bodies_reach_no_consumer(abc):
         measure_table(BodyOfEvidence(ab, 2, ((8, 1), (1, 1))), MeasureKind.BELIEF)
 
 
+@pytest.mark.parametrize("bits", [1.0, True, Fraction(1)], ids=["float", "bool", "fraction"])
+def test_a_bitmask_that_is_not_an_int_is_refused(abc, bits):
+    # A float bitmask built a body whose belief raised TypeError and a
+    # FocalSet whose str() raised; True built a FocalSet equal to bitmask 1.
+    message = f"bitmask {bits!r} is a {type(bits).__name__}, not an int"
+    with pytest.raises(FrameError) as exc_info:
+        FocalSet(abc, bits)
+    assert str(exc_info.value) == message
+    with pytest.raises(FrameError) as exc_info:
+        BodyOfEvidence(abc, 1, ((bits, 1),))
+    assert str(exc_info.value) == message
+    with pytest.raises(FrameError) as exc_info:
+        BodyOfEvidence(abc, 2, ((1, 1), (bits, 1)))
+    assert str(exc_info.value) == message
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_a_hand_built_body_either_raises_or_equals_make_body_of_its_fractions(data):
